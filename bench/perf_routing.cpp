@@ -15,8 +15,10 @@
  *   "sweep": {"cells": ..., "jobs": ..., "speedup": ...}
  * and, since the compressed next-hop storage landed, a 1024-device
  * scale point comparing the two route representations (build time,
- * storage bytes, per-walk overhead):
- *   "scale": {"devices": 1024, "bytes_ratio": ..., ...}
+ * storage bytes, per-walk overhead), with the per-walk overhead also
+ * swept over 16-1024 device meshes:
+ *   "scale": {"devices": 1024, "bytes_ratio": ..., "walk_sweep":
+ *    [{"devices": 16, "ns_per_walk_csr": ..., ...}, ...]}
  * and, since the sparse traffic accumulator landed (schema v4), a
  * 1024-device dense-vs-sparse engine/reduction comparison plus a
  * 16384-device fine-grained-expert point where only the sparse
@@ -58,6 +60,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/moentwine.hh"
@@ -227,6 +230,16 @@ struct ScaleResult
     double nsPerWalkCsr = 0.0;
     double nsPerWalkNextHop = 0.0;
 
+    /** ns per walk of both storages on one mesh size. */
+    struct WalkPoint
+    {
+        int devices = 0;
+        double nsCsr = 0.0;
+        double nsNextHop = 0.0;
+    };
+    /** The walk comparison from 16 devices up to the scale point. */
+    std::vector<WalkPoint> walkSweep;
+
     double bytesRatio() const
     {
         return nextHopBytes > 0
@@ -288,6 +301,30 @@ runScaleBench()
                 r.nextHopBytes / 1e6, r.bytesRatio(), r.nsPerWalkCsr,
                 r.nsPerWalkNextHop, r.csrBuildSeconds,
                 r.nextHopBuildSeconds);
+
+    // The same walk comparison at smaller meshes (the sizes of the
+    // storage-policy table), ending with the scale point above.
+    for (const auto &shape : {std::pair<int, int>{1, 4}, {1, 8}, {2, 8},
+                              {2, 16}}) {
+        MeshTopology m = MeshTopology::waferRow(shape.first, shape.second);
+        ScaleResult::WalkPoint p;
+        p.devices = m.numDevices();
+        // Build each storage before timing, as the scale point does.
+        m.setRouteStorage(RouteStorageKind::NextHop);
+        m.finalizeRoutes();
+        p.nsNextHop = nsPerWalk(m, 200000);
+        m.setRouteStorage(RouteStorageKind::CsrArena);
+        m.finalizeRoutes();
+        p.nsCsr = nsPerWalk(m, 200000);
+        r.walkSweep.push_back(p);
+    }
+    r.walkSweep.push_back(
+        ScaleResult::WalkPoint{r.devices, r.nsPerWalkCsr,
+                               r.nsPerWalkNextHop});
+    for (const auto &p : r.walkSweep)
+        std::printf("  walk %5d devices | csr %6.1f ns | next-hop %6.1f "
+                    "ns\n",
+                    p.devices, p.nsCsr, p.nsNextHop);
     return r;
 }
 
@@ -808,12 +845,21 @@ toJson(const std::vector<BenchResult> &results, const ScaleResult &scale,
         "\"csr_bytes\": %zu, \"next_hop_bytes\": %zu, "
         "\"bytes_ratio\": %.2f, \"csr_build_s\": %.3f, "
         "\"next_hop_build_s\": %.3f, \"ns_per_walk_csr\": %.1f, "
-        "\"ns_per_walk_next_hop\": %.1f},\n",
+        "\"ns_per_walk_next_hop\": %.1f, \"walk_sweep\": [",
         scale.bench.c_str(), scale.devices, scale.csrBytes,
         scale.nextHopBytes, scale.bytesRatio(), scale.csrBuildSeconds,
         scale.nextHopBuildSeconds, scale.nsPerWalkCsr,
         scale.nsPerWalkNextHop);
     out += buf;
+    for (std::size_t i = 0; i < scale.walkSweep.size(); ++i) {
+        const auto &p = scale.walkSweep[i];
+        std::snprintf(buf, sizeof(buf),
+                      "%s{\"devices\": %d, \"ns_per_walk_csr\": %.1f, "
+                      "\"ns_per_walk_next_hop\": %.1f}",
+                      i > 0 ? ", " : "", p.devices, p.nsCsr, p.nsNextHop);
+        out += buf;
+    }
+    out += "]},\n";
     std::snprintf(
         buf, sizeof(buf),
         "  \"traffic\": {\"bench\": \"%s\", \"devices\": %d, "

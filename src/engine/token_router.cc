@@ -22,6 +22,8 @@ accumulateFlows(const Mapping &mapping, const ExpertPlacement &placement,
     // per-shard contributions collapse into one per-replica volume.
     const bool collapseRanks = aggregate &&
         mapping.dispatchSourceRankInvariant(retainAllGather);
+    const DispatchSourceRows sources =
+        mapping.dispatchSourceRows(retainAllGather);
     for (int g = 0; g < mapping.dp(); ++g) {
         const auto &row = counts[static_cast<std::size_t>(g)];
         MOE_ASSERT(row.size() ==
@@ -42,9 +44,9 @@ accumulateFlows(const Mapping &mapping, const ExpertPlacement &placement,
                 const int ranks = collapseRanks ? 1 : tp;
                 const double perRank = collapseRanks ? perReplica
                                                     : perShard;
+                const DeviceId *rowSources = sources.row(g, dev);
                 for (int r = 0; r < ranks; ++r) {
-                    const DeviceId src = mapping.dispatchSourceCached(
-                        g, r, dev, retainAllGather);
+                    const DeviceId src = rowSources[r];
                     const double bytes = perRank * tokenBytes *
                         mapping.dispatchDedupFactor(src, dev, topk);
                     if (src == dev || bytes <= 0.0)
@@ -103,7 +105,7 @@ routeTokens(const Mapping &mapping, const ExpertPlacement &placement,
     if (aggregate) {
         // Materialise the non-zero pairs as flows in tile-major order
         // (cache-blocked so the downstream addFlow reduction walks
-        // routes with hot next-hop rows); combine mirrors dispatch
+        // routes over hot next-hop columns); combine mirrors dispatch
         // (same bytes, reversed direction).
         out.pairBytes.forEachTiled(
             [&out](DeviceId s, DeviceId d, double bytes) {

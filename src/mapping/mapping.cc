@@ -125,34 +125,36 @@ Mapping::buildDispatchTable(bool allGatherRetained,
                             std::vector<DeviceId> &table) const
 {
     const auto devices = static_cast<std::size_t>(numDevices());
-    table.resize(static_cast<std::size_t>(dp()) *
-                 static_cast<std::size_t>(tp()) * devices);
+    table.resize(static_cast<std::size_t>(dp()) * devices *
+                 static_cast<std::size_t>(tp()));
     std::size_t i = 0;
     for (int g = 0; g < dp(); ++g)
-        for (int r = 0; r < tp(); ++r)
-            for (DeviceId d = 0; d < numDevices(); ++d, ++i)
+        for (DeviceId d = 0; d < numDevices(); ++d)
+            for (int r = 0; r < tp(); ++r, ++i)
                 table[i] = dispatchSource(g, r, d, allGatherRetained);
 }
 
-DeviceId
-Mapping::dispatchSourceCached(int group, int rank, DeviceId expertDevice,
-                              bool allGatherRetained) const
+DispatchSourceRows
+Mapping::dispatchSourceRows(bool allGatherRetained) const
 {
     // call_once publishes the finished table, so engines on different
     // threads sharing one const mapping cannot observe a partial build.
     auto &table = allGatherRetained ? dispatchSrcAg_ : dispatchSrcNoAg_;
     std::call_once(allGatherRetained ? dispatchOnceAg_ : dispatchOnceNoAg_,
                    [&] { buildDispatchTable(allGatherRetained, table); });
-    const auto devices = static_cast<std::size_t>(numDevices());
+    return DispatchSourceRows(table.data(), numDevices(), tp());
+}
+
+DeviceId
+Mapping::dispatchSourceCached(int group, int rank, DeviceId expertDevice,
+                              bool allGatherRetained) const
+{
     MOE_ASSERT(group >= 0 && group < dp(), "bad TP group index");
     MOE_ASSERT(rank >= 0 && rank < tp(), "bad shard rank");
     MOE_ASSERT(expertDevice >= 0 && expertDevice < numDevices(),
                "bad expert device");
-    return table[(static_cast<std::size_t>(group) *
-                      static_cast<std::size_t>(tp()) +
-                  static_cast<std::size_t>(rank)) *
-                     devices +
-                 static_cast<std::size_t>(expertDevice)];
+    return dispatchSourceRows(allGatherRetained)
+        .row(group, expertDevice)[rank];
 }
 
 void
@@ -160,10 +162,8 @@ Mapping::prewarmCaches() const
 {
     topo_.finalizeRoutes();
     // Force both dispatch memo tables through the once-guard.
-    if (dp() > 0 && numDevices() > 0) {
-        (void)dispatchSourceCached(0, 0, 0, true);
-        (void)dispatchSourceCached(0, 0, 0, false);
-    }
+    (void)dispatchSourceRows(true);
+    (void)dispatchSourceRows(false);
 }
 
 double

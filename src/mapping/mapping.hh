@@ -34,6 +34,36 @@
 namespace moentwine {
 
 /**
+ * Borrowed view of one dispatch-source memo table (see
+ * Mapping::dispatchSourceRows()). The table is laid out
+ * [group][destination][rank], so row(g, d) points at the tp sources
+ * serving group g's shards to destination d, contiguous by rank.
+ */
+class DispatchSourceRows
+{
+  public:
+    DispatchSourceRows(const DeviceId *table, int devices, int tp)
+        : table_(table), devices_(devices), tp_(tp)
+    {
+    }
+
+    /** Sources of ranks [0, tp) of @p group toward @p dest. */
+    const DeviceId *row(int group, DeviceId dest) const
+    {
+        return table_ +
+            (static_cast<std::size_t>(group) *
+                 static_cast<std::size_t>(devices_) +
+             static_cast<std::size_t>(dest)) *
+            static_cast<std::size_t>(tp_);
+    }
+
+  private:
+    const DeviceId *table_;
+    int devices_;
+    int tp_;
+};
+
+/**
  * Base class of all parallelism mappings.
  */
 class Mapping
@@ -140,7 +170,7 @@ class Mapping
 
     /**
      * Memoised dispatchSource(): identical result, answered from a
-     * lazily built (group, rank, destination) table so the token
+     * lazily built (group, destination, rank) table so the token
      * router's per-iteration hot path performs no route walks and no
      * allocation. Mappings are immutable after construction, so the
      * table never invalidates; the lazy build is once-guarded so
@@ -149,6 +179,15 @@ class Mapping
     DeviceId dispatchSourceCached(int group, int rank,
                                   DeviceId expertDevice,
                                   bool allGatherRetained) const;
+
+    /**
+     * The whole dispatchSource() memo for one all-gather mode, built on
+     * first use like dispatchSourceCached(). Callers hoist this out of
+     * their loops: row lookups are then inline loads with no once-guard
+     * and no bounds checks, and a row holds every rank's source for one
+     * (group, destination) contiguously.
+     */
+    DispatchSourceRows dispatchSourceRows(bool allGatherRetained) const;
 
     /**
      * Eagerly build every lazy cache a const mapping query could
@@ -252,9 +291,10 @@ class Mapping
     // FTD collective rings, derived once in finalize().
     std::vector<std::vector<DeviceId>> ftdRings_;
     // dispatchSource memo, one table per allGatherRetained value,
-    // indexed [(group · tp + rank) · devices + destination]; built on
-    // first dispatchSourceCached() call with that flag. once-guarded
-    // so concurrent first use from sweep workers is safe.
+    // indexed [(group · devices + destination) · tp + rank] so one
+    // (group, destination) row holds every rank's source; built on
+    // first use with that flag. once-guarded so concurrent first use
+    // from sweep workers is safe.
     mutable std::once_flag dispatchOnceAg_;
     mutable std::once_flag dispatchOnceNoAg_;
     mutable std::vector<DeviceId> dispatchSrcAg_;

@@ -49,17 +49,16 @@ PhaseTraffic::addFlow(DeviceId src, DeviceId dst, double bytes)
         return;
     // Walk the deterministic route without borrowing an arena slice:
     // under the CSR storage the walker iterates the cached view, under
-    // the compressed storage it follows next-hop links — either way
-    // the link order (and therefore the latency summation) is the one
-    // computeRoute() defines, and no allocation happens.
-    double pathLatency = 0.0;
+    // the compressed storage it follows next-hop links — either way no
+    // allocation happens.
     for (const LinkId l : topo_->walk(src, dst)) {
         MOE_ASSERT(l >= 0 && static_cast<std::size_t>(l) < volume_.size(),
                    "bad link id in route walk");
         volume_[static_cast<std::size_t>(l)] += bytes;
-        pathLatency += topo_->links()[static_cast<std::size_t>(l)].latency;
     }
-    maxPathLatency_ = std::max(maxPathLatency_, pathLatency);
+    // The per-pair latency scalar is summed in the walk's link order,
+    // so it is bitwise the sum this walk would accumulate.
+    maxPathLatency_ = std::max(maxPathLatency_, topo_->pathLatency(src, dst));
     totalFlowBytes_ += bytes;
 }
 

@@ -33,10 +33,10 @@
  * tile-major order: (src-tile, dst-tile, src, dst) with
  * kTileDevices×kTileDevices tiles. The tiling is what blocks the
  * matrix→PhaseTraffic::addFlow reduction for cache locality: flows of
- * one (src, dst) block walk routes with hot next-hop rows instead of
- * striding the full matrix. Systems with at most kTileDevices devices
- * fit in a single tile, so their emission order is plain row-major —
- * identical to the historical dense scan.
+ * one (src, dst) block walk routes over the block's hot destination
+ * next-hop columns instead of striding the full matrix. Systems with
+ * at most kTileDevices devices fit in a single tile, so their emission
+ * order is plain row-major — identical to the historical dense scan.
  */
 
 #ifndef MOENTWINE_NETWORK_TRAFFIC_ACCUM_HH
@@ -92,10 +92,13 @@ class TrafficAccumulator
 
     /**
      * Edge length of the (src, dst) emission tiles. 64×64 pairs cover
-     * a 32 KB dense block and keep the destination next-hop columns of
-     * one tile resident across the route walks of its flows. Also the
-     * compatibility knob: systems with <= kTileDevices devices emit in
-     * plain row-major order, bit-identical to the pre-tiling scan.
+     * a 32 KB dense block, and the flows of one tile walk only its 64
+     * destinations' next-hop columns (NextHopTable is destination-
+     * major: 4 bytes per node, 256 KB per tile at 1024 nodes), so
+     * those columns stay cache-resident across the tile's route walks.
+     * Also the compatibility knob: systems with <= kTileDevices
+     * devices emit in plain row-major order, bit-identical to the
+     * pre-tiling scan.
      */
     static constexpr int kTileDevices = 64;
 

@@ -1,5 +1,7 @@
 #include "topology/next_hop_table.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "topology/topology.hh"
 
@@ -43,50 +45,68 @@ NextHopTable::build(const Topology &topo)
 {
     const int devices = topo.numDevices();
     MOE_ASSERT(devices > 0, "next-hop table over an empty topology");
+    const auto &links = topo.links();
+    // Ids must fit the 16-bit entry fields, with kNoHop kept free as
+    // the fill value.
+    MOE_ASSERT(links.size() <= NextHopEntry::kNoHop,
+               "too many links for 16-bit next-hop entries");
+    MOE_ASSERT(topo.numNodes() <= NextHopEntry::kNoHop,
+               "too many nodes for 16-bit next-hop entries");
     devices_ = devices;
     nodes_ = topo.numNodes();
     MOE_ASSERT(nodes_ >= devices_, "devices must be a node-id prefix");
 
     const auto pairs = static_cast<std::size_t>(devices) *
         static_cast<std::size_t>(devices);
-    nextHop_.assign(static_cast<std::size_t>(nodes_) *
-                        static_cast<std::size_t>(devices),
-                    -1);
+    nextHop_.assign(static_cast<std::size_t>(devices) *
+                        static_cast<std::size_t>(nodes_),
+                    NextHopEntry{NextHopEntry::kNoHop, NextHopEntry::kNoHop});
     hops_.assign(pairs, 0);
     latency_.assign(pairs, 0.0);
     invBwSum_.assign(pairs, 0.0);
 
-    const auto &links = topo.links();
-    std::size_t p = 0;
-    for (DeviceId src = 0; src < devices; ++src) {
-        for (DeviceId dst = 0; dst < devices; ++dst, ++p) {
-            const auto path = topo.computeRoute(src, dst);
-            // Scalars accumulate link by link in path order — the
-            // exact summation order of RouteTable::build(), so both
-            // storages answer bitwise identical doubles.
-            double lat = 0.0;
-            double invBw = 0.0;
-            for (const LinkId l : path) {
-                const Link &link = links[static_cast<std::size_t>(l)];
-                lat += link.latency;
-                invBw += 1.0 / link.bandwidth;
-                const std::size_t slot =
-                    static_cast<std::size_t>(link.src) *
+    // Destinations are filled in tiles of kTileDests so the columns a
+    // tile's routes write (kTileDests × nodes entries) stay cached
+    // while every source is visited; the result does not depend on the
+    // visiting order.
+    constexpr int kTileDests = 64;
+    for (DeviceId dt = 0; dt < devices; dt += kTileDests) {
+        const DeviceId dEnd = std::min(dt + kTileDests, devices);
+        for (DeviceId src = 0; src < devices; ++src) {
+            for (DeviceId dst = dt; dst < dEnd; ++dst) {
+                const auto path = topo.computeRoute(src, dst);
+                // Scalars accumulate link by link in path order — the
+                // exact summation order of RouteTable::build(), so both
+                // storages answer bitwise identical doubles.
+                double lat = 0.0;
+                double invBw = 0.0;
+                NextHopEntry *col = nextHop_.data() +
+                    static_cast<std::size_t>(dst) *
+                        static_cast<std::size_t>(nodes_);
+                for (const LinkId l : path) {
+                    const Link &link = links[static_cast<std::size_t>(l)];
+                    lat += link.latency;
+                    invBw += 1.0 / link.bandwidth;
+                    NextHopEntry &slot =
+                        col[static_cast<std::size_t>(link.src)];
+                    if (slot.link == NextHopEntry::kNoHop) {
+                        slot.link = static_cast<std::uint16_t>(l);
+                        slot.node = static_cast<std::uint16_t>(link.dst);
+                    } else {
+                        // Two routes crossing link.src toward dst must
+                        // leave over the same link, or the compressed
+                        // matrix cannot reproduce the arena's paths.
+                        MOE_ASSERT(slot.link == l,
+                                   "routing is not next-hop consistent");
+                    }
+                }
+                const std::size_t p = static_cast<std::size_t>(src) *
                         static_cast<std::size_t>(devices) +
                     static_cast<std::size_t>(dst);
-                if (nextHop_[slot] == -1) {
-                    nextHop_[slot] = l;
-                } else {
-                    // Two routes crossing link.src toward dst must
-                    // leave over the same link, or the compressed
-                    // matrix cannot reproduce the arena's paths.
-                    MOE_ASSERT(nextHop_[slot] == l,
-                               "routing is not next-hop consistent");
-                }
+                hops_[p] = static_cast<int>(path.size());
+                latency_[p] = lat;
+                invBwSum_[p] = invBw;
             }
-            hops_[p] = static_cast<int>(path.size());
-            latency_[p] = lat;
-            invBwSum_[p] = invBw;
         }
     }
     // Publish the finished matrix: pairs with built() acquire loads.
@@ -112,7 +132,7 @@ NextHopTable::reset()
 std::size_t
 NextHopTable::storageBytes() const
 {
-    return nextHop_.capacity() * sizeof(LinkId) +
+    return nextHop_.capacity() * sizeof(NextHopEntry) +
         hops_.capacity() * sizeof(int) +
         latency_.capacity() * sizeof(double) +
         invBwSum_.capacity() * sizeof(double);

@@ -6,12 +6,21 @@
  * explicitly, so its footprint grows O(devices² × avg hops) — beyond
  * roughly a thousand devices the arena dominates process RSS. The
  * NextHopTable compresses the same deterministic routing function to
- * O(devices²): one first-hop LinkId per (node, destination) pair, plus
- * the per-pair scalars (hop count, path latency, Σ 1/bandwidth) that
- * keep the O(1) Topology::hops()/pathLatency()/pathInvBandwidthSum()
- * queries alive. The few consumers that actually iterate a route's
- * links reconstruct it on the fly with a PathWalker cursor — a
- * handful of loads per hop, no allocation, no borrowed arena.
+ * O(devices²): one packed next-hop entry per (destination, node) pair,
+ * plus the per-pair scalars (hop count, path latency, Σ 1/bandwidth)
+ * that keep the O(1) Topology::hops()/pathLatency()/
+ * pathInvBandwidthSum() queries alive. The few consumers that actually
+ * iterate a route's links reconstruct it on the fly with a PathWalker
+ * cursor — one load per hop, no allocation, no borrowed arena.
+ *
+ * The matrix is destination-major: the nodes-long column of one
+ * destination is contiguous, and each entry packs the outgoing link id
+ * beside the node that link leads to (two 16-bit fields, 4 bytes). A
+ * walk therefore reads within one contiguous column (4 KB at 1024
+ * nodes) and never dereferences the link array. The 16-bit fields cap
+ * a topology at 65535 links and 65535 nodes; build() asserts both (the
+ * largest system in the repo, a 16384-device 4×(64×64) mesh, has 64896
+ * links).
  *
  * Compression is valid because routing here is node-locally
  * deterministic: the next link toward a destination depends only on
@@ -31,6 +40,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -42,10 +52,26 @@ namespace moentwine {
 class Topology;
 
 /**
- * All-pairs compressed route storage: a nodes×devices first-hop matrix
- * and devices×devices scalar tables. Route queries that need the link
- * sequence walk firstHop() hop by hop (see PathWalker); scalar queries
- * are one load, exactly like the CSR table.
+ * One next-hop matrix entry: the link leaving a node toward a
+ * destination and the node that link arrives at. Packed into 4 bytes
+ * so a destination's column of a 1024-node system is 4 KB.
+ */
+struct NextHopEntry
+{
+    /** Outgoing link id; kNoHop when no route crosses this slot. */
+    std::uint16_t link;
+    /** Node the link leads to (links()[link].dst). */
+    std::uint16_t node;
+
+    /** Fill value of slots no route crosses (and the id bound). */
+    static constexpr std::uint16_t kNoHop = 0xFFFF;
+};
+
+/**
+ * All-pairs compressed route storage: a devices×nodes destination-major
+ * next-hop matrix and devices×devices scalar tables. Route queries that
+ * need the link sequence follow column() hop by hop (see PathWalker);
+ * scalar queries are one load, exactly like the CSR table.
  */
 class NextHopTable
 {
@@ -64,8 +90,9 @@ class NextHopTable
     NextHopTable &operator=(NextHopTable &&other) noexcept;
 
     /**
-     * Precompute the first-hop matrix and per-pair scalars from
-     * topo.computeRoute(). Asserts that routing is next-hop consistent
+     * Precompute the next-hop matrix and per-pair scalars from
+     * topo.computeRoute(). Asserts that link and node ids fit the
+     * 16-bit entry fields, and that routing is next-hop consistent
      * (two routes crossing a node toward the same destination leave it
      * over the same link).
      */
@@ -82,14 +109,14 @@ class NextHopTable
     void reset();
 
     /**
-     * First link of the deterministic route from @p node toward device
-     * @p dst; -1 when node == dst or no route crosses this pair.
+     * The next-hop column of destination @p dst, indexed by node: entry
+     * n is the link leaving node n toward @p dst and the node it leads
+     * to (kNoHop when n == dst or no route crosses n).
      */
-    LinkId firstHop(NodeId node, DeviceId dst) const
+    const NextHopEntry *column(DeviceId dst) const
     {
-        return nextHop_[static_cast<std::size_t>(node) *
-                            static_cast<std::size_t>(devices_) +
-                        static_cast<std::size_t>(dst)];
+        return nextHop_.data() +
+            static_cast<std::size_t>(dst) * static_cast<std::size_t>(nodes_);
     }
 
     /** Hop count of the deterministic route (0 when src == dst). */
@@ -128,7 +155,7 @@ class NextHopTable
     int nodes_ = 0;
     // Release-published by build(); see built().
     std::atomic<bool> built_{false};
-    std::vector<LinkId> nextHop_; // nodes × devices first hops
+    std::vector<NextHopEntry> nextHop_; // devices × nodes, dst-major
     std::vector<int> hops_;       // devices × devices
     std::vector<double> latency_; // devices × devices
     std::vector<double> invBwSum_; // devices × devices
@@ -137,8 +164,8 @@ class NextHopTable
 /**
  * Forward cursor over one deterministic route, uniform across the two
  * route storages: over the CSR arena it iterates the borrowed view;
- * over the next-hop table it follows firstHop() links until the
- * destination. Construction and iteration never allocate, which is
+ * over the next-hop table it follows the destination's column until
+ * the destination. Construction and iteration never allocate, which is
  * what keeps PhaseTraffic::addFlow() allocation-free under either
  * storage. Obtain one from Topology::walk().
  */
@@ -152,16 +179,15 @@ class PathWalker
     }
 
     /** Walk the next-hop matrix from @p src toward @p dst. */
-    PathWalker(const NextHopTable &table, const Link *links, DeviceId src,
-               DeviceId dst)
-        : table_(&table), links_(links), node_(src), dst_(dst)
+    PathWalker(const NextHopTable &table, DeviceId src, DeviceId dst)
+        : column_(table.column(dst)), node_(src), dst_(dst)
     {
     }
 
     /** Advance one hop into @p out; false when the walk is finished. */
     bool next(LinkId &out)
     {
-        if (table_ == nullptr) {
+        if (column_ == nullptr) {
             if (cur_ == end_)
                 return false;
             out = *cur_++;
@@ -169,13 +195,14 @@ class PathWalker
         }
         if (node_ == dst_)
             return false;
-        const LinkId l = table_->firstHop(node_, dst_);
-        // -1 is the matrix fill value: no route ever crossed this
+        const NextHopEntry e = column_[static_cast<std::size_t>(node_)];
+        // kNoHop is the matrix fill value: no route ever crossed this
         // (node, dst) pair. Unreachable on connected topologies, but
-        // fail loudly instead of indexing links_ with it.
-        MOE_ASSERT(l >= 0, "no next hop toward the walked destination");
-        node_ = links_[static_cast<std::size_t>(l)].dst;
-        out = l;
+        // fail loudly instead of walking off the table.
+        MOE_ASSERT(e.link != NextHopEntry::kNoHop,
+                   "no next hop toward the walked destination");
+        node_ = e.node;
+        out = e.link;
         return true;
     }
 
@@ -213,12 +240,11 @@ class PathWalker
     End end() const { return End{}; }
 
   private:
-    // Next-hop mode state (table_ non-null).
-    const NextHopTable *table_ = nullptr;
-    const Link *links_ = nullptr;
+    // Next-hop mode state (column_ non-null).
+    const NextHopEntry *column_ = nullptr;
     NodeId node_ = 0;
     DeviceId dst_ = 0;
-    // Contiguous-view mode state (table_ null).
+    // Contiguous-view mode state (column_ null).
     const LinkId *cur_ = nullptr;
     const LinkId *end_ = nullptr;
 };

@@ -32,7 +32,7 @@ Topology::walk(DeviceId src, DeviceId dst) const
         return PathWalker(route(src, dst));
     ensureRoutes();
     if (nextHops_.built())
-        return PathWalker(nextHops_, links_.data(), src, dst);
+        return PathWalker(nextHops_, src, dst);
     return PathWalker(routes_.path(src, dst));
 }
 

@@ -16,9 +16,12 @@
  *
  *  - RouteTable (CSR arena): every path stored explicitly, O(devices² ×
  *    avg hops) memory; route() returns a stable borrowed PathView.
- *  - NextHopTable (compressed): one first-hop link per (node, dst),
- *    O(devices²) memory; link sequences are reconstructed on the fly
- *    by a PathWalker cursor (see Topology::walk()).
+ *  - NextHopTable (compressed): one packed 4-byte {link, next node}
+ *    entry per (dst, node), stored destination-major, O(devices ×
+ *    nodes) memory; link sequences are reconstructed on the fly by a
+ *    PathWalker cursor reading one contiguous column per walk (see
+ *    Topology::walk()). Its 16-bit fields limit it to topologies of at
+ *    most 65535 links and 65535 nodes, checked loudly at build.
  *
  * Both storages precompute the per-pair scalars, so hops(),
  * pathLatency(), pathBandwidth() and pathInvBandwidthSum() are O(1)
@@ -161,7 +164,8 @@ class RouteTable
 /**
  * Which all-pairs route storage a topology builds. Both storages
  * answer every route query with bitwise identical results; they trade
- * arena memory (CSR) against per-walk pointer chasing (NextHop).
+ * arena memory (CSR) against one dependent table load per hop
+ * (NextHop).
  */
 enum class RouteStorageKind
 {
@@ -169,7 +173,7 @@ enum class RouteStorageKind
     Auto,
     /** Explicit per-path arena (RouteTable). */
     CsrArena,
-    /** Compressed first-hop matrix (NextHopTable). */
+    /** Compressed destination-major next-hop matrix (NextHopTable). */
     NextHop,
 };
 

@@ -10,6 +10,7 @@
 #include <set>
 #include <tuple>
 
+#include "core/moentwine.hh"
 #include "mapping/baseline_mapping.hh"
 #include "mapping/er_mapping.hh"
 #include "mapping/ftd.hh"
@@ -182,6 +183,37 @@ TEST(Mapping, DispatchSourceWithoutAllGatherIsOwner)
     const DeviceId owner = er.tpGroups()[std::size_t(g)][2];
     EXPECT_EQ(er.dispatchSource(g, 2, mesh.deviceAt(3, 3), false),
               owner);
+}
+
+TEST(Mapping, DispatchMemoMatchesDispatchSource)
+{
+    // The memo is laid out [group][destination][rank]; both accessors
+    // must answer exactly what dispatchSource() derives, for every
+    // (group, rank, destination) under both all-gather modes.
+    for (const PlatformKind platform :
+         {PlatformKind::WscEr, PlatformKind::WscHer,
+          PlatformKind::DgxCluster}) {
+        SystemConfig sc;
+        sc.platform = platform;
+        sc.wafers = platform == PlatformKind::WscHer ? 2 : 1;
+        const System sys = System::make(sc);
+        const Mapping &m = sys.mapping();
+        for (const bool ag : {true, false}) {
+            const DispatchSourceRows rows = m.dispatchSourceRows(ag);
+            for (int g = 0; g < m.dp(); ++g) {
+                for (DeviceId d = 0; d < m.numDevices(); ++d) {
+                    const DeviceId *row = rows.row(g, d);
+                    for (int r = 0; r < m.tp(); ++r) {
+                        const DeviceId want = m.dispatchSource(g, r, d, ag);
+                        EXPECT_EQ(row[r], want)
+                            << m.name() << " g" << g << " r" << r << " d"
+                            << d << " ag " << ag;
+                        EXPECT_EQ(m.dispatchSourceCached(g, r, d, ag), want);
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(Mapping, MeshDedupFactorIsOne)

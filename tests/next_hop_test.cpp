@@ -9,7 +9,11 @@
  *  - policy: Auto selects the arena below the device threshold and the
  *    compressed matrix at or above it;
  *  - footprint: the compressed storage is strictly smaller and the
- *    addFlow hot path stays allocation-free under it.
+ *    addFlow hot path stays allocation-free under it;
+ *  - limits: build() aborts on topologies whose link or node ids do
+ *    not fit the 16-bit packed entries;
+ *  - path latency: addFlow's maxPathLatency() equals the walk-summed
+ *    link latency bitwise under both storages.
  */
 
 #include <gtest/gtest.h>
@@ -17,10 +21,12 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/moentwine.hh"
+#include "fault/fault_topology.hh"
 
 // Counting global allocator: lets the walk/addFlow tests assert the
 // compressed hot path performs zero heap allocation. Atomic because
@@ -328,4 +334,102 @@ TEST(NextHop, ConcurrentWalksOnSharedTopologyAgree)
         t.join();
     for (const int m : mismatches)
         EXPECT_EQ(m, 0);
+}
+
+namespace {
+
+/**
+ * Synthetic topology for the 16-bit limit: @p devices devices, @p nodes
+ * nodes, and @p links links fanned out over distinct (src, dst) node
+ * pairs. Routes are never computed: build() must refuse it first.
+ */
+class WideTopology : public Topology
+{
+  public:
+    WideTopology(int devices, int nodes, int links)
+        : devices_(devices), nodes_(nodes)
+    {
+        for (int i = 0; i < links; ++i)
+            addLink(i % nodes, (i / nodes + i % nodes + 1) % nodes, 1.0,
+                    0.0);
+    }
+
+    int numDevices() const override { return devices_; }
+    int numNodes() const override { return nodes_; }
+    std::string name() const override { return "wide"; }
+
+    std::vector<LinkId> computeRoute(DeviceId, DeviceId) const override
+    {
+        return {};
+    }
+
+  private:
+    int devices_;
+    int nodes_;
+};
+
+/**
+ * For every device pair of @p topo, a single addFlow must report the
+ * route's latency summed link by link in walk order, bitwise.
+ */
+void
+expectAddFlowLatencyIsWalkSum(const Topology &topo, RouteStorageKind kind)
+{
+    topo.finalizeRoutes();
+    ASSERT_EQ(topo.usingNextHopRoutes(), kind == RouteStorageKind::NextHop);
+    PhaseTraffic traffic(topo);
+    const auto &links = topo.links();
+    for (DeviceId s = 0; s < topo.numDevices(); ++s) {
+        for (DeviceId d = 0; d < topo.numDevices(); ++d) {
+            double walked = 0.0;
+            for (const LinkId l : topo.walk(s, d))
+                walked += links[static_cast<std::size_t>(l)].latency;
+            traffic.clear();
+            traffic.addFlow(s, d, 64.0);
+            EXPECT_EQ(traffic.maxPathLatency(), walked)
+                << topo.name() << " pair " << s << "->" << d;
+        }
+    }
+}
+
+} // namespace
+
+TEST(NextHopDeathTest, BuildRejectsIdsBeyondSixteenBits)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // 65536 links: link id 65535 would collide with the kNoHop fill.
+    WideTopology manyLinks(2, 257, 65536);
+    manyLinks.setRouteStorage(RouteStorageKind::NextHop);
+    EXPECT_DEATH(manyLinks.finalizeRoutes(),
+                 "too many links for 16-bit next-hop entries");
+
+    WideTopology manyNodes(2, 70000, 1);
+    manyNodes.setRouteStorage(RouteStorageKind::NextHop);
+    EXPECT_DEATH(manyNodes.finalizeRoutes(),
+                 "too many nodes for 16-bit next-hop entries");
+}
+
+TEST(NextHop, AddFlowPathLatencyIsWalkSumOnEveryTopology)
+{
+    for (const RouteStorageKind kind :
+         {RouteStorageKind::CsrArena, RouteStorageKind::NextHop}) {
+        SCOPED_TRACE(kind == RouteStorageKind::NextHop ? "next-hop"
+                                                       : "csr");
+        // HER multi-wafer mesh: inter-wafer links carry their own
+        // latency, so sums mix on- and off-wafer terms.
+        MeshTopology her = MeshTopology::waferRow(2, 4);
+        her.setRouteStorage(kind);
+        expectAddFlowLatencyIsWalkSum(her, kind);
+
+        SwitchClusterTopology cluster = SwitchClusterTopology::dgx(3);
+        cluster.setRouteStorage(kind);
+        expectAddFlowLatencyIsWalkSum(cluster, kind);
+
+        MeshTopology base = MeshTopology::waferRow(2, 4);
+        base.setRouteStorage(kind);
+        FaultTopology degraded(base);
+        degraded.degradeLink(base.linkBetween(5, 6), 0.25);
+        degraded.rebuildAfterFaults();
+        expectAddFlowLatencyIsWalkSum(degraded, kind);
+    }
 }

@@ -11,12 +11,11 @@
  * achieves the best MoE computation and all-to-all latency.
  *
  * The full model × schedule × workload × strategy product runs on the
- * SweepRunner work-stealing pool (`--jobs N`, MOENTWINE_JOBS;
- * `--affinity` / MOENTWINE_AFFINITY pins workers); one WSC system is
- * built once and shared read-only by every worker, and each worker
- * re-seeds its cached engine across cells instead of reconstructing
- * it (cell.worker->engine()) — rows stay byte-identical to `--jobs 1`
- * either way.
+ * SweepRunner work-stealing pool (`--jobs N`, MOENTWINE_JOBS); one
+ * WSC system is built once and shared read-only by every worker, and
+ * each worker re-seeds its cached engine across cells instead of
+ * reconstructing it (cell.worker->engine()) — rows stay
+ * byte-identical to `--jobs 1`.
  *
  * With `--trace <path>` the finished sweep re-emits as a Chrome trace:
  * one span per cell, laid end-to-end in grid order on a synthetic

@@ -2,8 +2,8 @@
  * @file
  * The Fig. 16 balancing grid (model × strategy × schedule × workload
  * on a 4×4 WSC under ER-Mapping), shared between the fig16_balancing
- * driver and perf_routing's serial-vs-parallel sweep benchmark so the
- * recorded trajectory always times exactly the grid the figure runs.
+ * driver and perfbench's balance_sweep workload so the benchmark
+ * always times exactly the grid the figure runs.
  */
 
 #ifndef MOENTWINE_BENCH_FIG16_GRID_HH

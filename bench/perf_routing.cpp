@@ -10,9 +10,6 @@
  * future PRs have a perf baseline to beat:
  *   {"bench": ..., "iters_per_sec": ..., "ns_per_route": ...,
  *    "route_storage": {"csr_bytes": ..., "next_hop_bytes": ...}}
- * plus a serial-vs-parallel wall clock of a fig16-style grid on the
- * SweepRunner thread pool:
- *   "sweep": {"cells": ..., "jobs": ..., "speedup": ...}
  * and, since the compressed next-hop storage landed, a 1024-device
  * scale point comparing the two route representations (build time,
  * storage bytes, per-walk overhead), with the per-walk overhead also
@@ -37,38 +34,24 @@
  *   --trace <path>  sim-time trace of a short observed engine run
  *   --stats <path>  StatRegistry JSON of the same run
  *
- * Since the work-stealing sweep execution (schema v6), the "sweep"
- * section carries the scheduler counters (steals, prebuilds, engine
- * reuses) and a "sweep_exec" section measures per-worker engine reuse
- * on a 1024-device fine-grained-experts grid: the same grid run
- * serially (row reference), with per-cell engine rebuilds, with
- * per-worker reuse, and with reuse plus CPU pinning (`--affinity`),
- * each with per-run hw{} counters and per-cell construction cost —
- * the "construction_saving_per_cell_ms" the worker-state reuse buys.
- * Rows are bitwise-compared across all four runs.
+ * The SweepRunner pool is not timed here (schema v7): perfbench's
+ * balance_sweep workload times the Fig. 16 grid on it, warmed and
+ * repeated.
  *
- * Usage: perf_routing [iterations] [--jobs N] [--affinity]
- *        [--trace P] [--stats P]
- *        (default 300 cached / 60 baseline; jobs default to
- *        MOENTWINE_JOBS, then hardware_concurrency)
+ * Usage: perf_routing [iterations] [--trace P] [--stats P]
+ *        (default 300 cached / 60 baseline)
  */
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/moentwine.hh"
 #include "obs/obs.hh"
-#include "fig16_grid.hh"
 #include "flags.hh"
-#include "jobs.hh"
-#include "sweep/sweep.hh"
 
 using namespace moentwine;
 
@@ -328,270 +311,6 @@ runScaleBench()
     return r;
 }
 
-/** Wall-clock of one SweepRunner pass over a fig16-style grid. */
-struct SweepBenchResult
-{
-    std::string bench;
-    std::size_t cells = 0;
-    int jobs = 1;
-    double serialSeconds = 0.0;
-    double parallelSeconds = 0.0;
-    bool rowsIdentical = false;
-    /** Scheduler counters of the parallel run. */
-    SweepRunStats stats;
-
-    double speedup() const
-    {
-        return parallelSeconds > 0.0 ? serialSeconds / parallelSeconds
-                                     : 0.0;
-    }
-};
-
-/** Exact row equality (labels, keys, bitwise metric values). */
-bool
-rowsEqual(const std::vector<SweepResult> &a,
-          const std::vector<SweepResult> &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (a[i].index != b[i].index || a[i].label != b[i].label ||
-            a[i].metrics != b[i].metrics)
-            return false;
-    }
-    return true;
-}
-
-/**
- * Time the fig16-style balancing grid serially and on the thread
- * pool. The grid is embarrassingly parallel (one engine per cell), so
- * on a multi-core runner the pool's wall-clock approaches
- * serial/jobs; rows must come back byte-identical either way.
- */
-SweepBenchResult
-runSweepBench(int jobs)
-{
-    // Time exactly the grid fig16_balancing runs (bench/fig16_grid.cc
-    // is shared with the driver, so this trajectory cannot drift from
-    // the figure it claims to measure).
-    const SweepGrid grid = benchgrid::fig16BalancingGrid();
-
-    const SweepRunner::CellFn cell = [](const SweepCell &c) {
-        const EngineConfig ec = benchgrid::fig16EngineConfig(c.point);
-        InferenceEngine &engine =
-            c.worker->engine(c.system->mapping(), ec);
-        double layer = 0.0;
-        for (const auto &s : engine.run(benchgrid::kFig16Iterations))
-            layer += s.layerTime(ec.pipelineStages);
-        SweepResult row;
-        row.label = "cell" + std::to_string(c.point.index);
-        row.add("layer_sum_s", layer);
-        return row;
-    };
-
-    SweepBenchResult r;
-    r.bench = "sweep_fig16_wsc_er_16dev";
-    r.cells = grid.cells();
-    r.jobs = jobs;
-
-    const SweepRunner serial(1);
-    auto start = Clock::now();
-    const auto serialRows = serial.run(grid, cell);
-    r.serialSeconds = secondsSince(start);
-
-    SweepOptions popts;
-    popts.jobs = jobs;
-    const SweepRunner parallel(popts);
-    start = Clock::now();
-    const auto parallelRows = parallel.run(grid, cell, &r.stats);
-    r.parallelSeconds = secondsSince(start);
-
-    r.rowsIdentical = rowsEqual(serialRows, parallelRows);
-
-    std::printf("%-24s serial %6.2f s | parallel(%d) %6.2f s | "
-                "speedup %5.2fx | steals %lld | reuses %lld | rows %s\n",
-                r.bench.c_str(), r.serialSeconds, r.jobs,
-                r.parallelSeconds, r.speedup(),
-                static_cast<long long>(r.stats.steals),
-                static_cast<long long>(r.stats.engineReuses),
-                r.rowsIdentical ? "identical" : "DIVERGED");
-    return r;
-}
-
-/**
- * The worker-state-reuse trajectory: a 1024-device fine-grained-
- * experts grid where each cell's engine owns tens of MB of traffic
- * scratch, so per-cell construction is a real fraction of cell time.
- * One grid, four schedules — serial reference, per-cell rebuild,
- * per-worker reuse, reuse + pinning — rows bitwise-compared across
- * all of them, per-cell construction cost measured inside the cell
- * function, hw counters around each parallel drain.
- */
-constexpr int kExecIterations = 2;
-
-SweepGrid
-execGrid()
-{
-    SweepGrid grid;
-    SystemConfig sc;
-    sc.platform = PlatformKind::WscHer;
-    sc.meshN = 16;
-    sc.wafers = 4;
-    sc.tp = 4;
-    grid.systems = {sc};
-    // Free axis: decode token-group size. 16 cells is enough for
-    // every worker to see many same-platform cells in its block —
-    // the reuse regime — while keeping the whole section in seconds.
-    for (int g = 1; g <= 16; ++g)
-        grid.params.push_back(static_cast<double>(8 * g));
-    return grid;
-}
-
-EngineConfig
-execEngineConfig(const SweepPoint &point, int devices)
-{
-    EngineConfig ec;
-    ec.model = qwen3();
-    // Fine-grained expert regime (one expert per device): the regime
-    // where engine state (placements, EMA loads, traffic scratch)
-    // scales with the device count and construction is expensive.
-    ec.model.expertsTotal = devices;
-    ec.balancer = BalancerKind::None;
-    ec.schedule = SchedulingMode::DecodeOnly;
-    ec.decodeTokensPerGroup = static_cast<int>(point.parameter());
-    ec.workload.mode = GatingMode::MixedScenario;
-    ec.workload.mixPeriod = 60;
-    ec.workload.seed = point.seed();
-    return ec;
-}
-
-/** One scheduled pass over the exec grid. */
-struct ExecRun
-{
-    std::string name;
-    double seconds = 0.0;
-    /** Mean seconds of engine acquisition (construction or reset)
-     *  plus the first iteration — where a fresh engine pays its lazy
-     *  scratch allocations — measured inside the cell function. */
-    double warmSecondsPerCell = 0.0;
-    SweepRunStats stats;
-    std::vector<SweepResult> rows;
-};
-
-ExecRun
-runExecOnce(const std::string &name, const SweepGrid &grid,
-            const SweepOptions &opts)
-{
-    const int devices = grid.systems[0].meshN * grid.systems[0].meshN *
-        grid.systems[0].wafers;
-    std::atomic<long long> warmNs{0};
-    const SweepRunner::CellFn cell = [&warmNs,
-                                      devices](const SweepCell &c) {
-        const EngineConfig ec = execEngineConfig(c.point, devices);
-        // Warm cost = engine acquisition plus the first iteration:
-        // the engine allocates its traffic/routing scratch lazily on
-        // first use, so a fresh engine pays its multi-MB allocations
-        // (and their page faults) inside step 0 — exactly the cost a
-        // reused engine's retained capacity avoids.
-        const auto t0 = Clock::now();
-        InferenceEngine &engine =
-            c.worker->engine(c.system->mapping(), ec);
-        double layer =
-            engine.step().layerTime(ec.pipelineStages);
-        warmNs.fetch_add(
-            static_cast<long long>(secondsSince(t0) * 1e9),
-            std::memory_order_relaxed);
-        for (int i = 1; i < kExecIterations; ++i)
-            layer += engine.step().layerTime(ec.pipelineStages);
-        SweepResult row;
-        row.label = "cell" + std::to_string(c.point.index);
-        row.add("layer_sum_s", layer);
-        return row;
-    };
-
-    ExecRun r;
-    r.name = name;
-    const SweepRunner runner(opts);
-    const auto start = Clock::now();
-    r.rows = runner.run(grid, cell, &r.stats);
-    r.seconds = secondsSince(start);
-    r.warmSecondsPerCell = static_cast<double>(warmNs.load()) * 1e-9 /
-        static_cast<double>(grid.cells());
-    return r;
-}
-
-struct ExecBenchResult
-{
-    std::string bench;
-    int devices = 0;
-    std::size_t cells = 0;
-    int jobs = 1;
-    double serialSeconds = 0.0;
-    std::vector<ExecRun> runs; ///< rebuild, reuse, pinned
-    bool rowsIdentical = false;
-
-    /** What per-worker reuse saves per cell vs rebuilding. */
-    double constructionSavingPerCellMs = 0.0;
-};
-
-ExecBenchResult
-runExecBench(int jobs)
-{
-    const SweepGrid grid = execGrid();
-
-    ExecBenchResult r;
-    r.bench = "sweep_exec_wsc_4x(16x16)_her_1024dev";
-    r.devices = 1024;
-    r.cells = grid.cells();
-    r.jobs = jobs;
-
-    SweepOptions serial;
-    serial.jobs = 1;
-    // Serial reference also reuses: reuse may never change a row, so
-    // the reference must not special-case it away.
-    const ExecRun ref = runExecOnce("serial", grid, serial);
-    r.serialSeconds = ref.seconds;
-
-    SweepOptions rebuild;
-    rebuild.jobs = jobs;
-    rebuild.reuseWorkerState = false;
-    rebuild.collectHw = true;
-    r.runs.push_back(runExecOnce("rebuild", grid, rebuild));
-
-    SweepOptions reuse = rebuild;
-    reuse.reuseWorkerState = true;
-    r.runs.push_back(runExecOnce("reuse", grid, reuse));
-
-    // The pinned pass runs whether or not the driver got --affinity:
-    // the trajectory wants the pinned-vs-unpinned hw delta every time.
-    SweepOptions pinned = reuse;
-    pinned.affinity = true;
-    r.runs.push_back(runExecOnce("pinned", grid, pinned));
-
-    r.rowsIdentical = true;
-    for (const ExecRun &run : r.runs)
-        r.rowsIdentical = r.rowsIdentical && rowsEqual(ref.rows, run.rows);
-    r.constructionSavingPerCellMs =
-        (r.runs[0].warmSecondsPerCell - r.runs[1].warmSecondsPerCell) *
-        1e3;
-
-    for (const ExecRun &run : r.runs) {
-        std::printf("%-24s %-8s %6.2f s | warm %6.2f ms/cell | "
-                    "steals %lld | builds %lld | reuses %lld | "
-                    "pinned %d/%d\n",
-                    r.bench.c_str(), run.name.c_str(), run.seconds,
-                    run.warmSecondsPerCell * 1e3,
-                    static_cast<long long>(run.stats.steals),
-                    static_cast<long long>(run.stats.engineBuilds),
-                    static_cast<long long>(run.stats.engineReuses),
-                    run.stats.pinned, run.stats.workers);
-    }
-    std::printf("%-24s reuse saves %.2f ms/cell | rows %s\n",
-                r.bench.c_str(), r.constructionSavingPerCellMs,
-                r.rowsIdentical ? "identical" : "DIVERGED");
-    return r;
-}
-
 /**
  * Dense-vs-sparse traffic accumulation at 1024 devices: full engine
  * throughput and the isolated routeTokens→allToAll reduction under
@@ -787,31 +506,12 @@ runTrafficScaleBench()
     return r;
 }
 
-/** Inline JSON object of one hw counter set. */
-std::string
-hwJson(const HwCounterValues &hw)
-{
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"available\": %s, \"cycles\": %llu, "
-                  "\"instructions\": %llu, \"ipc\": %.2f, "
-                  "\"cache_misses\": %llu, \"dtlb_misses\": %llu}",
-                  hw.available ? "true" : "false",
-                  static_cast<unsigned long long>(hw.cycles),
-                  static_cast<unsigned long long>(hw.instructions),
-                  hw.ipc(),
-                  static_cast<unsigned long long>(hw.cacheMisses),
-                  static_cast<unsigned long long>(hw.dtlbMisses));
-    return buf;
-}
-
 std::string
 toJson(const std::vector<BenchResult> &results, const ScaleResult &scale,
-       const SweepBenchResult &sweep, const ExecBenchResult &exec,
        const TrafficResult &traffic,
        const TrafficScaleResult &trafficScale)
 {
-    std::string out = "{\n  \"schema\": \"moentwine.bench.routing.v6\",\n"
+    std::string out = "{\n  \"schema\": \"moentwine.bench.routing.v7\",\n"
                       "  \"results\": [\n";
     char buf[1024];
     for (std::size_t i = 0; i < results.size(); ++i) {
@@ -877,70 +577,12 @@ toJson(const std::vector<BenchResult> &results, const ScaleResult &scale,
         "  \"traffic_scale\": {\"bench\": \"%s\", \"devices\": %d, "
         "\"occupied_pairs\": %zu, \"sparse_accum_bytes\": %zu, "
         "\"dense_accum_bytes\": %zu, \"bytes_ratio\": %.2f, "
-        "\"sparse_reduction_s\": %.3f},\n",
+        "\"sparse_reduction_s\": %.3f}\n",
         trafficScale.bench.c_str(), trafficScale.devices,
         trafficScale.occupiedPairs, trafficScale.sparseBytes,
         trafficScale.denseBytes, trafficScale.bytesRatio(),
         trafficScale.sparseReductionSeconds);
     out += buf;
-    std::snprintf(
-        buf, sizeof(buf),
-        "  \"sweep\": {\"bench\": \"%s\", \"cells\": %zu, "
-        "\"jobs\": %d, \"serial_seconds\": %.3f, "
-        "\"parallel_seconds\": %.3f, \"speedup\": %.2f, "
-        "\"steals\": %lld, \"prebuilds\": %lld, "
-        "\"engine_builds\": %lld, \"engine_reuses\": %lld, "
-        "\"rows_identical\": %s},\n",
-        sweep.bench.c_str(), sweep.cells, sweep.jobs,
-        sweep.serialSeconds, sweep.parallelSeconds, sweep.speedup(),
-        static_cast<long long>(sweep.stats.steals),
-        static_cast<long long>(sweep.stats.prebuilds),
-        static_cast<long long>(sweep.stats.engineBuilds),
-        static_cast<long long>(sweep.stats.engineReuses),
-        sweep.rowsIdentical ? "true" : "false");
-    out += buf;
-    std::snprintf(
-        buf, sizeof(buf),
-        "  \"sweep_exec\": {\"bench\": \"%s\", \"devices\": %d, "
-        "\"cells\": %zu, \"jobs\": %d, \"numa_nodes\": %d, "
-        "\"serial_seconds\": %.3f, "
-        "\"construction_saving_per_cell_ms\": %.3f, "
-        "\"rows_identical\": %s,\n    \"runs\": [\n",
-        exec.bench.c_str(), exec.devices, exec.cells, exec.jobs,
-        exec.runs.empty() ? 1 : exec.runs.back().stats.numaNodes,
-        exec.serialSeconds, exec.constructionSavingPerCellMs,
-        exec.rowsIdentical ? "true" : "false");
-    out += buf;
-    for (std::size_t i = 0; i < exec.runs.size(); ++i) {
-        const ExecRun &run = exec.runs[i];
-        std::string busy = "[";
-        for (std::size_t w = 0; w < run.stats.workerBusySeconds.size();
-             ++w) {
-            std::snprintf(buf, sizeof(buf), "%s%.3f", w > 0 ? ", " : "",
-                          run.stats.workerBusySeconds[w]);
-            busy += buf;
-        }
-        busy += "]";
-        std::snprintf(
-            buf, sizeof(buf),
-            "      {\"name\": \"%s\", \"seconds\": %.3f, "
-            "\"warm_ms_per_cell\": %.3f, \"workers\": %d, "
-            "\"pinned_workers\": %d, \"steals\": %lld, "
-            "\"prebuilds\": %lld, \"prebuild_steals\": %lld, "
-            "\"engine_builds\": %lld, \"engine_reuses\": %lld, "
-            "\"worker_busy_s\": %s, \"hw\": %s}%s\n",
-            run.name.c_str(), run.seconds,
-            run.warmSecondsPerCell * 1e3, run.stats.workers,
-            run.stats.pinned, static_cast<long long>(run.stats.steals),
-            static_cast<long long>(run.stats.prebuilds),
-            static_cast<long long>(run.stats.prebuildSteals),
-            static_cast<long long>(run.stats.engineBuilds),
-            static_cast<long long>(run.stats.engineReuses),
-            busy.c_str(), hwJson(run.stats.hw).c_str(),
-            i + 1 < exec.runs.size() ? "," : "");
-        out += buf;
-    }
-    out += "    ]}\n";
     out += "}\n";
     return out;
 }
@@ -962,7 +604,6 @@ main(int argc, char **argv)
         benchflags::stringFlag(argc, argv, "--trace");
     const std::string statsPath =
         benchflags::stringFlag(argc, argv, "--stats");
-    const int jobs = benchjobs::resolve(argc, argv);
 
     // Fig. 16-style serving workload: decode iterations over a drifting
     // scenario mixture, which keeps gating (and therefore the flow set)
@@ -1004,13 +645,6 @@ main(int argc, char **argv)
     const TrafficResult traffic = runTrafficBench(cfg, iters);
     const TrafficScaleResult trafficScale = runTrafficScaleBench();
 
-    // Parallel-sweep trajectory: serial vs thread-pooled wall-clock of
-    // a fig16-style grid (the workload every converted fig driver now
-    // runs through SweepRunner), plus the worker-state-reuse section
-    // on the 1024-device grid.
-    const SweepBenchResult sweep = runSweepBench(jobs);
-    const ExecBenchResult exec = runExecBench(jobs);
-
     if (!tracePath.empty() || !statsPath.empty()) {
         // Short observed engine run on the multi-wafer mesh, outside
         // every timed region so observation cost never lands in the
@@ -1041,7 +675,7 @@ main(int argc, char **argv)
     }
 
     const std::string json =
-        toJson(results, scale, sweep, exec, traffic, trafficScale);
+        toJson(results, scale, traffic, trafficScale);
     std::printf("\n%s", json.c_str());
 
     if (std::FILE *f = std::fopen("BENCH_routing.json", "w")) {

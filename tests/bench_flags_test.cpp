@@ -1,9 +1,8 @@
 /**
  * @file
  * Tests for the shared bench CLI helpers (bench/flags.hh): last-wins
- * value flags mirroring SweepRunner::jobsFromArgs, the boolean
- * --affinity flag being known to positionals(), and the strict
- * numeric parsing.
+ * value flags mirroring SweepRunner::jobsFromArgs, unknown flags being
+ * fatal in positionals(), and the strict numeric parsing.
  */
 
 #include <gtest/gtest.h>
@@ -38,19 +37,15 @@ TEST(BenchFlags, StringFlagSkipsItsValueWhenScanning)
               "--stats");
 }
 
-TEST(BenchFlags, PositionalsKnowAffinityTakesNoValue)
-{
-    const char *argv[] = {"bench", "--affinity", "120", "--jobs", "2"};
-    const auto pos = benchflags::positionals(5, const_cast<char **>(argv));
-    ASSERT_EQ(pos.size(), 1u);
-    EXPECT_EQ(pos[0], "120"); // not swallowed as --affinity's value
-}
-
 TEST(BenchFlagsDeathTest, UnknownFlagIsFatal)
 {
-    const char *argv[] = {"bench", "--affinty"};
-    EXPECT_EXIT(benchflags::positionals(2, const_cast<char **>(argv)),
-                ::testing::ExitedWithCode(1), "unknown flag");
+    // A typo, and the removed worker-pinning flag.
+    for (const char *flag : {"--affinty", "--affinity"}) {
+        const char *argv[] = {"bench", flag};
+        EXPECT_EXIT(benchflags::positionals(2, const_cast<char **>(argv)),
+                    ::testing::ExitedWithCode(1), "unknown flag")
+            << flag;
+    }
 }
 
 TEST(BenchFlagsDeathTest, DanglingValueFlagIsFatal)

@@ -5,8 +5,8 @@
  *    counts, and the stability of per-cell seeds;
  *  - determinism: a real engine grid run with 4 workers produces rows
  *    bitwise-identical (labels and metric doubles) to a serial run, in
- *    identical order — under work stealing, per-worker engine reuse,
- *    forced NUMA replication, and affinity pinning alike;
+ *    identical order — under work stealing and per-worker engine
+ *    reuse alike;
  *  - the work-stealing scheduler: a deliberately skewed grid (one
  *    slow cell) keeps every worker busy and records steals, without
  *    perturbing a single row;
@@ -24,8 +24,14 @@
 #include <cstdlib>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
 
 #include "core/moentwine.hh"
 #include "sweep/sweep.hh"
@@ -257,41 +263,48 @@ TEST(SweepRunnerJobsDeathTest, EveryJobsOccurrenceIsValidated)
         ::testing::ExitedWithCode(1), "positive integer");
 }
 
-TEST(SweepRunnerTest, AffinityFromArgsFlagBeatsEnv)
-{
-    const char *flag[] = {"bench", "--affinity"};
-    const char *plain[] = {"bench"};
-    ASSERT_EQ(unsetenv("MOENTWINE_AFFINITY"), 0);
-    EXPECT_TRUE(
-        SweepRunner::affinityFromArgs(2, const_cast<char **>(flag)));
-    EXPECT_FALSE(
-        SweepRunner::affinityFromArgs(1, const_cast<char **>(plain)));
-    ASSERT_EQ(setenv("MOENTWINE_AFFINITY", "1", 1), 0);
-    EXPECT_TRUE(
-        SweepRunner::affinityFromArgs(1, const_cast<char **>(plain)));
-    ASSERT_EQ(setenv("MOENTWINE_AFFINITY", "0", 1), 0);
-    EXPECT_FALSE(
-        SweepRunner::affinityFromArgs(1, const_cast<char **>(plain)));
-    // The flag wins over an env opt-out.
-    EXPECT_TRUE(
-        SweepRunner::affinityFromArgs(2, const_cast<char **>(flag)));
-    ASSERT_EQ(unsetenv("MOENTWINE_AFFINITY"), 0);
-}
-
-TEST(SweepRunnerJobsDeathTest, MalformedAffinityEnvIsFatal)
-{
-    const char *plain[] = {"bench"};
-    ASSERT_EQ(setenv("MOENTWINE_AFFINITY", "yes", 1), 0);
-    EXPECT_EXIT(
-        SweepRunner::affinityFromArgs(1, const_cast<char **>(plain)),
-        ::testing::ExitedWithCode(1), "'1' or '0'");
-    ASSERT_EQ(unsetenv("MOENTWINE_AFFINITY"), 0);
-}
-
 TEST(SweepRunnerTest, ResolvePositiveRequestWins)
 {
     EXPECT_EQ(SweepRunner::resolveJobs(5), 5);
     EXPECT_GE(SweepRunner::resolveJobs(0), 1);
+}
+
+TEST(SweepRunnerTest, DefaultJobsFollowTheAffinityMask)
+{
+#if defined(__linux__)
+    // A thread restricted to one CPU (as under `taskset -c N`) must
+    // size the pool to 1, not to every online CPU.
+    cpu_set_t allowed;
+    CPU_ZERO(&allowed);
+    ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &allowed))
+        ++cpu;
+
+    const char *env = std::getenv("MOENTWINE_JOBS");
+    const std::string savedEnv = env ? env : "";
+    ASSERT_EQ(unsetenv("MOENTWINE_JOBS"), 0);
+
+    int resolved = 0;
+    bool pinned = false;
+    std::thread pinnedThread([&] {
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        CPU_SET(cpu, &one);
+        pinned = pthread_setaffinity_np(pthread_self(), sizeof(one),
+                                        &one) == 0;
+        resolved = SweepRunner::resolveJobs(0);
+    });
+    pinnedThread.join();
+    if (env) {
+        ASSERT_EQ(setenv("MOENTWINE_JOBS", savedEnv.c_str(), 1), 0);
+    }
+
+    ASSERT_TRUE(pinned);
+    EXPECT_EQ(resolved, 1);
+#else
+    GTEST_SKIP() << "affinity masks are Linux-only";
+#endif
 }
 
 TEST(SweepRunnerTest, ParallelRowsIdenticalToSerial)
@@ -337,7 +350,6 @@ TEST(SweepRunnerTest, StealingUnderSkewKeepsAllWorkersBusy)
     const auto rows = SweepRunner(opts).run(grid, cell, &stats);
 
     expectRowsIdentical(serialRows, rows);
-    EXPECT_TRUE(stats.stealing);
     EXPECT_EQ(stats.workers, 4);
     EXPECT_EQ(stats.cells, 32);
     // The slow cell pins worker 0 for ~250 ms while its remaining 7
@@ -353,41 +365,26 @@ TEST(SweepRunnerTest, StealingUnderSkewKeepsAllWorkersBusy)
 TEST(SweepRunnerTest, EngineReuseBitwiseAgainstRebuild)
 {
     // The determinism lynchpin of per-worker engine reuse: the same
-    // grid through the worker's engine pool (reset-and-reuse), through
-    // per-cell rebuilds, and serially must produce bitwise-identical
-    // rows — a reset engine is indistinguishable from a fresh one.
+    // grid through the worker's engine pool (reset-and-reuse), serially
+    // and on 4 workers, must produce rows bitwise-identical to a cell
+    // function that constructs a fresh engine per cell — a reset
+    // engine is indistinguishable from a fresh one.
     const SweepGrid grid = engineGrid();
 
     const SweepRunner serial(1);
     const auto serialRows = serial.run(grid, runCellReused);
 
-    SweepOptions reuse;
-    reuse.jobs = 4;
-    reuse.reuseWorkerState = true;
     SweepRunStats reuseStats;
     const auto reusedRows =
-        SweepRunner(reuse).run(grid, runCellReused, &reuseStats);
-
-    SweepOptions rebuild;
-    rebuild.jobs = 4;
-    rebuild.reuseWorkerState = false;
-    SweepRunStats rebuildStats;
-    const auto rebuiltRows =
-        SweepRunner(rebuild).run(grid, runCellReused, &rebuildStats);
+        SweepRunner(4).run(grid, runCellReused, &reuseStats);
 
     expectRowsIdentical(serialRows, reusedRows);
-    expectRowsIdentical(serialRows, rebuiltRows);
-    // And against the per-cell-constructed baseline cell function.
     expectRowsIdentical(serialRows, serial.run(grid, runCell));
 
-    // The reuse run actually reused: every cell beyond each worker's
-    // first sighting of a platform resets instead of constructing.
+    // The run actually reused: every cell beyond each worker's first
+    // sighting of a platform resets instead of constructing.
     EXPECT_GT(reuseStats.engineReuses, 0);
     EXPECT_EQ(reuseStats.engineReuses + reuseStats.engineBuilds,
-              static_cast<std::int64_t>(grid.cells()));
-    // The rebuild baseline never reuses.
-    EXPECT_EQ(rebuildStats.engineReuses, 0);
-    EXPECT_EQ(rebuildStats.engineBuilds,
               static_cast<std::int64_t>(grid.cells()));
 }
 
@@ -403,47 +400,6 @@ TEST(SweepRunnerTest, PrebuildItemsCoverEverySystemSlot)
     SweepRunner(opts).run(grid, runCellReused, &stats);
     EXPECT_EQ(stats.prebuilds, 2);
     EXPECT_EQ(stats.cells, static_cast<std::int64_t>(grid.cells()));
-}
-
-TEST(SweepRunnerTest, ForcedNumaReplicationIsBitwise)
-{
-    // numaNodesOverride=2 on a (possibly) single-socket box: workers
-    // alternate between two independently built System replicas.
-    // Replica builds are deterministic, so rows cannot depend on
-    // which replica a cell read.
-    const SweepGrid grid = engineGrid();
-    const SweepRunner serial(1);
-    const auto serialRows = serial.run(grid, runCellReused);
-
-    SweepOptions opts;
-    opts.jobs = 4;
-    opts.numaNodesOverride = 2;
-    SweepRunStats stats;
-    const auto rows = SweepRunner(opts).run(grid, runCellReused, &stats);
-
-    expectRowsIdentical(serialRows, rows);
-    EXPECT_EQ(stats.numaNodes, 2);
-}
-
-TEST(SweepRunnerTest, AffinityOversubscriptionDegradesGracefully)
-{
-    // More workers than allowed CPUs (this box may have very few):
-    // pinning wraps round-robin over the allowed set — or fails into
-    // unpinned execution — and either way the sweep completes with
-    // rows bitwise-identical to serial.
-    const SweepGrid grid = engineGrid();
-    const SweepRunner serial(1);
-    const auto serialRows = serial.run(grid, runCellReused);
-
-    SweepOptions opts;
-    opts.jobs = 2 * SweepRunner::resolveJobs(0);
-    opts.affinity = true;
-    SweepRunStats stats;
-    const auto rows = SweepRunner(opts).run(grid, runCellReused, &stats);
-
-    expectRowsIdentical(serialRows, rows);
-    EXPECT_TRUE(stats.affinity);
-    EXPECT_LE(stats.pinned, stats.workers);
 }
 
 TEST(SweepRunnerTest, RepeatedParallelRunsAreIdentical)

@@ -1,9 +1,8 @@
 #include "balancer/balancer.hh"
 
 #include <algorithm>
+#include <cstddef>
 #include <limits>
-#include <set>
-#include <utility>
 
 #include "common/logging.hh"
 
@@ -32,32 +31,90 @@ RebalanceTrigger::poll(double imbalance)
 
 namespace {
 
-/** Destination/source policy for the shared replication loop. */
-struct ReplicationPolicy
+/**
+ * The nearest-replica hop row of @p expert: row[d] = min over the
+ * expert's replicas r of hops(r, d), one entry per topology device.
+ * Built on the expert's first replication in this plan;
+ * replicationLoop() folds in every replica it adds afterwards. The
+ * pointer is valid until the next row is built.
+ */
+int *
+nearestRow(PlanScratch &scratch, const Topology &topo,
+           const ExpertPlacement &placement, int expert)
 {
-    /** Pick the destination among cold candidate devices. */
-    DeviceId (*chooseDst)(const Topology *topo,
-                          const ExpertPlacement &placement,
-                          const std::vector<double> &heats,
-                          const std::vector<DeviceId> &candidates,
-                          int expert);
-    /** Pick the replica the weights are copied from. */
-    DeviceId (*chooseSrc)(const Topology *topo,
-                          const std::vector<DeviceId> &replicas,
-                          DeviceId dst);
-};
+    const auto devices = static_cast<std::size_t>(topo.numDevices());
+    int &slot = scratch.rowOf[static_cast<std::size_t>(expert)];
+    if (slot >= 0)
+        return scratch.rows.data() + static_cast<std::size_t>(slot) * devices;
+    slot = static_cast<int>(scratch.rows.size() / devices);
+    scratch.rows.resize(scratch.rows.size() + devices,
+                        std::numeric_limits<int>::max());
+    int *row = scratch.rows.data() + static_cast<std::size_t>(slot) * devices;
+    for (const DeviceId r : placement.replicasOf(expert))
+        topo.minHopsFrom(r, row);
+    return row;
+}
+
+/**
+ * True when cold candidate @p d beats the current choice @p best
+ * (candidates arrive in ascending id, so ties keep the lower id).
+ * Greedy (@p nearest null): strictly colder. Topology-aware: strictly
+ * nearer to an existing replica, then strictly colder.
+ */
+bool
+preferDst(const int *nearest, const std::vector<double> &heats, DeviceId d,
+          DeviceId best)
+{
+    const double heat = heats[static_cast<std::size_t>(d)];
+    const double bestHeat = heats[static_cast<std::size_t>(best)];
+    if (nearest == nullptr)
+        return heat < bestHeat;
+    const int hops = nearest[static_cast<std::size_t>(d)];
+    const int bestHops = nearest[static_cast<std::size_t>(best)];
+    return hops < bestHops || (hops == bestHops && heat < bestHeat);
+}
+
+/**
+ * Replica in [first, last) (ascending ids) the weights are copied
+ * from: greedy (@p topo null) takes the first, topology-aware the first
+ * strictly nearest to @p dst.
+ */
+DeviceId
+copySource(const Topology *topo, const DeviceId *first,
+           const DeviceId *last, DeviceId dst)
+{
+    DeviceId best = *first;
+    if (topo == nullptr)
+        return best;
+    int bestHops = std::numeric_limits<int>::max();
+    for (const DeviceId *r = first; r != last; ++r) {
+        const int h = topo->hops(*r, dst);
+        if (h < bestHops) {
+            bestHops = h;
+            best = *r;
+        }
+    }
+    return best;
+}
 
 /**
  * Algorithm 1's core loop: repeatedly replicate the most loaded expert
  * of the hottest device onto a colder device until no improvement is
- * possible. Returns the (expert, dst) additions in order.
+ * possible. Topology-aware when @p topo is given, greedy otherwise.
+ * Leaves the (expert, dst) additions, in order, in scratch.added.
  */
-std::vector<std::pair<int, DeviceId>>
+void
 replicationLoop(const std::vector<double> &loads,
                 ExpertPlacement &placement, const Topology *topo,
-                const ReplicationPolicy &policy)
+                PlanScratch &scratch)
 {
-    std::vector<std::pair<int, DeviceId>> added;
+    MOE_ASSERT(topo == nullptr ||
+                   placement.numDevices() <= topo->numDevices(),
+               "placement spans devices the topology lacks");
+    scratch.added.clear();
+    scratch.rowOf.assign(static_cast<std::size_t>(placement.numExperts()),
+                         -1);
+    scratch.rows.clear();
     const int maxAdds = placement.numDevices() * placement.shadowSlots();
 
     // Track loads so each round reads the incrementally maintained
@@ -86,90 +143,36 @@ replicationLoop(const std::vector<double> &loads,
         // Cold set (paper line 5): devices whose heat would stay below
         // the current peak after hosting one more replica share, with a
         // free slot and no existing replica. Adding the new share to
-        // the candidate keeps the global peak strictly decreasing.
+        // the candidate keeps the global peak strictly decreasing. The
+        // destination is chosen during the same ascending scan; the
+        // heat test runs first because it rejects most devices before
+        // the slot and residency lookups.
         const double newShare = loads[static_cast<std::size_t>(
                                     srcExpert)] /
             (placement.numReplicas(srcExpert) + 1);
-        std::vector<DeviceId> cold;
+        const double peak = heats[static_cast<std::size_t>(hottest)];
+        int *nearest = topo == nullptr
+            ? nullptr
+            : nearestRow(scratch, *topo, placement, srcExpert);
+        DeviceId dst = -1;
         for (DeviceId d = 0; d < placement.numDevices(); ++d) {
-            if (d == hottest || placement.freeSlots(d) <= 0 ||
+            if (!(heats[static_cast<std::size_t>(d)] + newShare < peak) ||
+                d == hottest || placement.freeSlots(d) <= 0 ||
                 placement.hosts(d, srcExpert)) {
                 continue;
             }
-            if (heats[static_cast<std::size_t>(d)] + newShare <
-                heats[static_cast<std::size_t>(hottest)]) {
-                cold.push_back(d);
-            }
+            if (dst < 0 || preferDst(nearest, heats, d, dst))
+                dst = d;
         }
-        if (cold.empty())
+        if (dst < 0)
             break; // line 6: no capable destination remains
 
-        const DeviceId dst =
-            policy.chooseDst(topo, placement, heats, cold, srcExpert);
         placement.addReplica(srcExpert, dst);
-        added.emplace_back(srcExpert, dst);
+        if (nearest != nullptr)
+            topo->minHopsFrom(dst, nearest);
+        scratch.added.emplace_back(srcExpert, dst);
     }
     placement.clearExpertLoads();
-    return added;
-}
-
-DeviceId
-coldestDst(const Topology *, const ExpertPlacement &,
-           const std::vector<double> &heats,
-           const std::vector<DeviceId> &candidates, int)
-{
-    DeviceId best = candidates.front();
-    for (const DeviceId d : candidates) {
-        if (heats[static_cast<std::size_t>(d)] <
-            heats[static_cast<std::size_t>(best)]) {
-            best = d;
-        }
-    }
-    return best;
-}
-
-DeviceId
-nearestDst(const Topology *topo, const ExpertPlacement &placement,
-           const std::vector<double> &heats,
-           const std::vector<DeviceId> &candidates, int expert)
-{
-    DeviceId best = candidates.front();
-    int bestHops = std::numeric_limits<int>::max();
-    for (const DeviceId d : candidates) {
-        int h = std::numeric_limits<int>::max();
-        for (const DeviceId r : placement.replicasOf(expert))
-            h = std::min(h, topo->hops(r, d));
-        if (h < bestHops ||
-            (h == bestHops && heats[static_cast<std::size_t>(d)] <
-                                  heats[static_cast<std::size_t>(best)])) {
-            bestHops = h;
-            best = d;
-        }
-    }
-    return best;
-}
-
-DeviceId
-firstReplicaSrc(const Topology *, const std::vector<DeviceId> &replicas,
-                DeviceId)
-{
-    return replicas.front();
-}
-
-DeviceId
-nearestReplicaSrc(const Topology *topo,
-                  const std::vector<DeviceId> &replicas, DeviceId dst)
-{
-    DeviceId best = replicas.front();
-    int bestHops = std::numeric_limits<int>::max();
-    for (const DeviceId r : replicas) {
-        const int h = topo->hops(r, dst);
-        if (h < bestHops) {
-            bestHops = h;
-            best = r;
-        }
-    }
-    return best;
 }
 
 /**
@@ -179,31 +182,40 @@ nearestReplicaSrc(const Topology *topo,
  */
 std::vector<MigrationStep>
 rebalanceWith(const std::vector<double> &loads, ExpertPlacement &placement,
-              const Topology *topo, const ReplicationPolicy &policy)
+              const Topology *topo, PlanScratch &scratch)
 {
-    // Snapshot the replicas present before re-planning: copies to a
-    // device that already held the expert are free.
-    std::set<std::pair<int, DeviceId>> before;
-    for (int e = 0; e < placement.numExperts(); ++e)
-        for (const DeviceId d : placement.replicasOf(e))
-            before.emplace(e, d);
+    // Snapshot the replicas present before re-planning, ascending per
+    // expert: copies to a device that already held the expert are
+    // free, and copy sources must hold the weights *now*.
+    const int experts = placement.numExperts();
+    std::vector<std::size_t> &begin = scratch.beforeBegin;
+    std::vector<DeviceId> &held = scratch.beforeDevices;
+    begin.resize(static_cast<std::size_t>(experts) + 1);
+    held.clear();
+    for (int e = 0; e < experts; ++e) {
+        const std::size_t first = held.size();
+        begin[static_cast<std::size_t>(e)] = first;
+        const auto &replicas = placement.replicasOf(e);
+        held.insert(held.end(), replicas.begin(), replicas.end());
+        std::sort(held.begin() + static_cast<std::ptrdiff_t>(first),
+                  held.end());
+    }
+    begin[static_cast<std::size_t>(experts)] = held.size();
 
     placement.resetToNative();
-    const auto added = replicationLoop(loads, placement, topo, policy);
+    replicationLoop(loads, placement, topo, scratch);
 
     std::vector<MigrationStep> steps;
-    for (const auto &[expert, dst] : added) {
-        if (before.count({expert, dst}))
+    for (const auto &[expert, dst] : scratch.added) {
+        const DeviceId *first =
+            held.data() + begin[static_cast<std::size_t>(expert)];
+        const DeviceId *last =
+            held.data() + begin[static_cast<std::size_t>(expert) + 1];
+        if (std::binary_search(first, last, dst))
             continue;
-        // Copy sources must hold the weights *now*: pick among the
-        // replicas present before the re-plan.
-        std::vector<DeviceId> holders;
-        for (const auto &[e, d] : before)
-            if (e == expert)
-                holders.push_back(d);
-        MOE_ASSERT(!holders.empty(), "expert with no prior replica");
-        const DeviceId src = policy.chooseSrc(topo, holders, dst);
-        steps.push_back(MigrationStep{expert, src, dst});
+        MOE_ASSERT(first != last, "expert with no prior replica");
+        steps.push_back(
+            MigrationStep{expert, copySource(topo, first, last, dst), dst});
     }
     return steps;
 }
@@ -214,8 +226,7 @@ std::vector<MigrationStep>
 GreedyBalancer::rebalance(const std::vector<double> &expertLoads,
                           ExpertPlacement &placement)
 {
-    const ReplicationPolicy policy{coldestDst, firstReplicaSrc};
-    return rebalanceWith(expertLoads, placement, nullptr, policy);
+    return rebalanceWith(expertLoads, placement, nullptr, scratch_);
 }
 
 TopologyAwareBalancer::TopologyAwareBalancer(const Topology &topo)
@@ -227,8 +238,7 @@ std::vector<MigrationStep>
 TopologyAwareBalancer::rebalance(const std::vector<double> &expertLoads,
                                  ExpertPlacement &placement)
 {
-    const ReplicationPolicy policy{nearestDst, nearestReplicaSrc};
-    return rebalanceWith(expertLoads, placement, &topo_, policy);
+    return rebalanceWith(expertLoads, placement, &topo_, scratch_);
 }
 
 } // namespace moentwine

@@ -17,12 +17,38 @@
  *
  * The migration steps returned are the replica copies that must move
  * weights over the network; dropping stale shadow replicas is free.
+ *
+ * Per-plan cost is O(rounds × devices) for both balancers. Each round
+ * scans the devices once for the hottest and once for the cold set,
+ * choosing the destination during that scan; the topology-aware choice
+ * reads a per-expert nearest-replica hop row instead of rescanning
+ * every replica of the expert per candidate. That row is built from
+ * the expert's replicas the first time it is replicated in a plan and
+ * folded with Topology::minHopsFrom() after every addition (replica
+ * sets only grow inside one plan, so it stays exact). "Already held
+ * before the re-plan" is a binary search in a per-expert sorted
+ * snapshot. Both balancers keep these buffers as members across plans.
+ *
+ * Tie-break contract (what makes plans reproducible across storages
+ * and refactors):
+ *  - cold candidates are scanned in ascending device id; the
+ *    topology-aware choice keeps the first candidate with strictly
+ *    fewer hops to the nearest replica, then strictly lower heat; the
+ *    greedy choice keeps the first with strictly lower heat;
+ *  - copy sources are chosen among the replicas held before the
+ *    re-plan, scanned in ascending device id (first strictly nearest
+ *    for topology-aware, the lowest id for greedy);
+ *  - co-location is decided by ExpertPlacement, never by a zero hop
+ *    count: a degraded (FaultTopology) overlay reports 0 hops for
+ *    unreachable pairs.
  */
 
 #ifndef MOENTWINE_BALANCER_BALANCER_HH
 #define MOENTWINE_BALANCER_BALANCER_HH
 
+#include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "balancer/placement.hh"
@@ -72,6 +98,24 @@ class RebalanceTrigger
 };
 
 /**
+ * Reusable buffers of one rebalance (see balancer.cc). Contents are
+ * rebuilt by every plan; only their capacity carries over.
+ */
+struct PlanScratch
+{
+    /** (expert, dst) replica additions of the current plan, in order. */
+    std::vector<std::pair<int, DeviceId>> added;
+    /** Per-expert [begin, end) into beforeDevices (experts + 1). */
+    std::vector<std::size_t> beforeBegin;
+    /** Replicas held before the re-plan, ascending per expert. */
+    std::vector<DeviceId> beforeDevices;
+    /** Expert → index of its nearest-replica hop row, or -1. */
+    std::vector<int> rowOf;
+    /** Nearest-replica hop rows, Topology::numDevices() entries each. */
+    std::vector<int> rows;
+};
+
+/**
  * Base class of placement balancers.
  */
 class Balancer
@@ -109,6 +153,9 @@ class GreedyBalancer : public Balancer
     std::vector<MigrationStep> rebalance(
         const std::vector<double> &expertLoads,
         ExpertPlacement &placement) override;
+
+  private:
+    PlanScratch scratch_;
 };
 
 /**
@@ -128,6 +175,7 @@ class TopologyAwareBalancer : public Balancer
 
   private:
     const Topology &topo_;
+    PlanScratch scratch_;
 };
 
 } // namespace moentwine

@@ -1,42 +1,43 @@
 #include "balancer/ni_balancer.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hh"
 
 namespace moentwine {
 
 NiBalancer::NiBalancer(const Mapping &mapping, double expertBytes)
-    : mapping_(mapping), expertBytes_(expertBytes)
+    : mapping_(mapping),
+      expertBytes_(expertBytes),
+      planner_(mapping.topology()),
+      budget_(mapping.topology().links().size(), -1.0)
 {
     MOE_ASSERT(expertBytes > 0.0, "expert size must be positive");
+    budgetTouched_.reserve(budget_.size());
 }
 
 int
 NiBalancer::plan(const std::vector<double> &expertLoads,
                  ExpertPlacement &placement)
 {
-    // Plan the target with Algorithm 1 on a scratch copy.
-    ExpertPlacement target = placement;
-    TopologyAwareBalancer planner(mapping_.topology());
-    const auto steps = planner.rebalance(expertLoads, target);
-
-    // Adopt the target immediately, then retract the replicas whose
-    // weights still have to travel — they activate on completion.
-    placement = target;
+    // Plan the target with Algorithm 1 and adopt it immediately, then
+    // retract the replicas whose weights still have to travel — they
+    // activate on completion.
+    const auto steps = planner_.rebalance(expertLoads, placement);
+    const auto devices = static_cast<std::size_t>(placement.numDevices());
+    const std::size_t keys =
+        static_cast<std::size_t>(placement.numExperts()) * devices;
+    if (pendingKey_.empty())
+        pendingKey_.assign(keys, 0);
+    MOE_ASSERT(pendingKey_.size() == keys,
+               "NiBalancer re-planned a differently shaped placement");
     int enqueued = 0;
     for (const MigrationStep &step : steps) {
-        const bool alreadyPending = std::any_of(
-            pending_.begin(), pending_.end(), [&](const Pending &p) {
-                return p.step.expert == step.expert &&
-                       p.step.dstDevice == step.dstDevice;
-            });
-        if (alreadyPending) {
-            // Keep the slot reserved; transfer already in flight.
-            placement.removeReplica(step.expert, step.dstDevice);
-            continue;
-        }
         placement.removeReplica(step.expert, step.dstDevice);
+        char &inFlight = pendingKey_[pendingKeyOf(step, devices)];
+        if (inFlight)
+            continue; // keep the slot reserved; transfer in flight
         Pending p;
         p.step = step;
         p.segments = decompose(step.srcDevice, step.dstDevice);
@@ -44,9 +45,20 @@ NiBalancer::plan(const std::vector<double> &expertLoads,
                    "migration between co-located replicas");
         p.delivered.assign(p.segments.size(), 0.0);
         pending_.push_back(std::move(p));
+        inFlight = 1;
         ++enqueued;
     }
     return enqueued;
+}
+
+std::vector<MigrationStep>
+NiBalancer::pendingSteps() const
+{
+    std::vector<MigrationStep> steps;
+    steps.reserve(pending_.size());
+    for (const Pending &p : pending_)
+        steps.push_back(p.step);
+    return steps;
 }
 
 std::vector<NiBalancer::Segment>
@@ -93,12 +105,14 @@ NiBalancer::advance(const PhaseTraffic &traffic, double window, bool local,
     if (pending_.empty() || window <= 0.0)
         return 0;
 
-    // Idle byte budget per link for this window, shared FCFS.
-    std::vector<double> budget(mapping_.topology().links().size(), -1.0);
+    // Idle byte budget per link for this window, shared FCFS. Links
+    // are priced on first use; only those are reset afterwards.
     auto budgetOf = [&](LinkId l) -> double & {
-        auto &b = budget[static_cast<std::size_t>(l)];
-        if (b < 0.0)
+        auto &b = budget_[static_cast<std::size_t>(l)];
+        if (b < 0.0) {
             b = traffic.idleBytes(l, window);
+            budgetTouched_.push_back(l);
+        }
         return b;
     };
 
@@ -124,7 +138,12 @@ NiBalancer::advance(const PhaseTraffic &traffic, double window, bool local,
         }
     }
 
+    for (const LinkId l : budgetTouched_)
+        budget_[static_cast<std::size_t>(l)] = -1.0;
+    budgetTouched_.clear();
+
     // Activate completed migrations.
+    const auto devices = static_cast<std::size_t>(placement.numDevices());
     int completed = 0;
     const double done = expertBytes_ * (1.0 - 1e-9);
     for (auto it = pending_.begin(); it != pending_.end();) {
@@ -134,6 +153,7 @@ NiBalancer::advance(const PhaseTraffic &traffic, double window, bool local,
                 placement.freeSlots(s.dstDevice) > 0) {
                 placement.addReplica(s.expert, s.dstDevice);
             }
+            pendingKey_[pendingKeyOf(s, devices)] = 0;
             it = pending_.erase(it);
             ++completed;
         } else {

@@ -19,6 +19,15 @@
  * chain, and a migration activates its replica only once the final
  * segment has delivered all bytes — so balancing is slightly delayed
  * but costs zero iteration latency.
+ *
+ * With β = 0 the Eq.(2) trigger fires on most iterations, so plan() and
+ * the per-phase advance() are both hot. The balancer therefore owns its
+ * TopologyAwareBalancer (whose PlanScratch keeps the nearest-replica
+ * hop rows and the before-snapshot across plans) and re-plans the
+ * caller's placement in place; "already in flight" is an O(1) lookup
+ * in an experts × devices flag table; and the per-link idle budget is a
+ * member array that each phase resets only where it priced a link.
+ * Steady-state advance() calls perform no heap allocation.
  */
 
 #ifndef MOENTWINE_BALANCER_NI_BALANCER_HH
@@ -80,6 +89,9 @@ class NiBalancer
     /** Migrations still in flight. */
     std::size_t pendingCount() const { return pending_.size(); }
 
+    /** The in-flight migrations' steps, in draining (FCFS) order. */
+    std::vector<MigrationStep> pendingSteps() const;
+
     /** Total bytes moved invisibly so far. */
     double hiddenBytesMoved() const { return hiddenBytes_; }
 
@@ -107,9 +119,29 @@ class NiBalancer
     int advance(const PhaseTraffic &traffic, double window, bool local,
                 ExpertPlacement &placement);
 
+    /** Index of (step.expert, step.dstDevice) in pendingKey_. */
+    static std::size_t pendingKeyOf(const MigrationStep &step,
+                                    std::size_t devices)
+    {
+        return static_cast<std::size_t>(step.expert) * devices +
+               static_cast<std::size_t>(step.dstDevice);
+    }
+
     const Mapping &mapping_;
     double expertBytes_;
+    // Algorithm 1 planner, kept across plans so its PlanScratch rows
+    // and snapshots are reused instead of reallocated per re-plan.
+    TopologyAwareBalancer planner_;
     std::deque<Pending> pending_;
+    // experts × devices flags: 1 while a copy of that expert to that
+    // device is in pending_ (O(1) duplicate check on re-plan). Sized
+    // on the first plan.
+    std::vector<char> pendingKey_;
+    // Per-link idle budget of the current phase (-1 = not yet priced)
+    // and the links priced so far; advance() resets only those, so a
+    // steady-state phase allocates nothing.
+    std::vector<double> budget_;
+    std::vector<LinkId> budgetTouched_;
     double hiddenBytes_ = 0.0;
 };
 

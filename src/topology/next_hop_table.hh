@@ -38,6 +38,7 @@
 #ifndef MOENTWINE_TOPOLOGY_NEXT_HOP_TABLE_HH
 #define MOENTWINE_TOPOLOGY_NEXT_HOP_TABLE_HH
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -123,6 +124,14 @@ class NextHopTable
     int hops(DeviceId src, DeviceId dst) const
     {
         return hops_[pairIndex(src, dst)];
+    }
+
+    /** out[d] = min(out[d], hops(src, d)) for every device d. */
+    void minHopsFrom(DeviceId src, int *out) const
+    {
+        const int *row = hops_.data() + pairIndex(src, 0);
+        for (int d = 0; d < devices_; ++d)
+            out[d] = std::min(out[d], row[d]);
     }
 
     /** Sum of per-link latencies along the deterministic route. */

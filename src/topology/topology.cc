@@ -47,6 +47,23 @@ Topology::hops(DeviceId src, DeviceId dst) const
     return routes_.hops(src, dst);
 }
 
+void
+Topology::minHopsFrom(DeviceId src, int *out) const
+{
+    if (routes_.disabled()) {
+        for (DeviceId d = 0; d < numDevices(); ++d) {
+            out[d] = std::min(
+                out[d], static_cast<int>(computeRoute(src, d).size()));
+        }
+        return;
+    }
+    ensureRoutes();
+    if (nextHops_.built())
+        nextHops_.minHopsFrom(src, out);
+    else
+        routes_.minHopsFrom(src, out);
+}
+
 double
 Topology::pathLatency(DeviceId src, DeviceId dst) const
 {

@@ -37,6 +37,7 @@
 #ifndef MOENTWINE_TOPOLOGY_TOPOLOGY_HH
 #define MOENTWINE_TOPOLOGY_TOPOLOGY_HH
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <mutex>
@@ -118,6 +119,16 @@ class RouteTable
     {
         const std::size_t p = pairIndex(src, dst);
         return static_cast<int>(offsets_[p + 1] - offsets_[p]);
+    }
+
+    /** out[d] = min(out[d], hops(src, d)) for every device d. */
+    void minHopsFrom(DeviceId src, int *out) const
+    {
+        const std::size_t *row = offsets_.data() + pairIndex(src, 0);
+        for (int d = 0; d < devices_; ++d) {
+            out[d] = std::min(
+                out[d], static_cast<int>(row[d + 1] - row[d]));
+        }
     }
 
     /** Sum of per-link latencies along the cached route. */
@@ -294,6 +305,16 @@ class Topology
 
     /** Hop count of the deterministic route (0 when src == dst). */
     int hops(DeviceId src, DeviceId dst) const;
+
+    /**
+     * Fold one source's hop row into a running minimum: sets
+     * out[d] = min(out[d], hops(src, d)) for every device d in
+     * [0, numDevices()). Reads the built route storage's row directly
+     * (one storage check per row instead of one per pair), so
+     * "distance to the nearest of a growing device set" costs O(devices)
+     * per added device. @p out must hold numDevices() entries.
+     */
+    void minHopsFrom(DeviceId src, int *out) const;
 
     /** Sum of per-link latencies along the deterministic route. */
     double pathLatency(DeviceId src, DeviceId dst) const;

@@ -18,9 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,51 +25,9 @@
 #include "core/moentwine.hh"
 #include "fault/fault_topology.hh"
 
-// Counting global allocator: lets the walk/addFlow tests assert the
-// compressed hot path performs zero heap allocation. Atomic because
-// the concurrency test's worker threads allocate (computeRoute).
-namespace {
-std::atomic<std::size_t> g_allocCount{0};
-} // namespace
-
-void *
-operator new(std::size_t size)
-{
-    ++g_allocCount;
-    if (void *p = std::malloc(size ? size : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return ::operator new(size);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
+// Counting global allocator (g_allocCount) for the allocation-free
+// hot-path assertions.
+#include "alloc_counter.hh"
 
 using namespace moentwine;
 

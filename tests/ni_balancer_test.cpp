@@ -11,6 +11,10 @@
 #include "mapping/er_mapping.hh"
 #include "topology/mesh.hh"
 
+// Counting global allocator (g_allocCount) for the allocation-free
+// advance() assertion.
+#include "alloc_counter.hh"
+
 using namespace moentwine;
 
 namespace {
@@ -171,4 +175,33 @@ TEST(NiBalancer, BalanceQualityEventuallyMatchesInvasive)
     }
     EXPECT_NEAR(maxOf(hidden.deviceHeats(loads)),
                 maxOf(invasive.deviceHeats(loads)), 1e-6);
+}
+
+TEST(NiBalancer, SteadyStateAdvanceIsAllocationFree)
+{
+    Fixture f;
+    // 100 MB experts drain over many phases; the warm-up pair prices
+    // every link once, then the counted phases must not allocate —
+    // neither while draining nor when completed replicas activate.
+    NiBalancer ni(f.er, 100e6);
+    ExpertPlacement p(16, 16, 1);
+    ni.plan(f.skewedLoads(), p);
+    PhaseTraffic traffic(f.mesh);
+    for (DeviceId a = 0; a < f.mesh.numDevices(); a += 3)
+        traffic.addFlow(a, f.mesh.numDevices() - 1 - a, 5e5);
+    ni.advanceAttention(traffic, 1e-4, p);
+    ni.advanceMoe(traffic, 1e-4, p);
+    const std::size_t pendingBefore = ni.pendingCount();
+    ASSERT_GT(pendingBefore, 0u);
+
+    const std::size_t before = g_allocCount.load();
+    int completed = 0;
+    for (int phase = 0; phase < 200 && ni.pendingCount() > 0; ++phase) {
+        completed += ni.advanceAttention(traffic, 1e-4, p);
+        completed += ni.advanceMoe(traffic, 1e-4, p);
+    }
+    EXPECT_EQ(g_allocCount.load(), before)
+        << "steady-state advance must not allocate";
+    EXPECT_EQ(ni.pendingCount(), 0u);
+    EXPECT_EQ(std::size_t(completed), pendingBefore);
 }

@@ -9,58 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include "network/traffic.hh"
 #include "topology/mesh.hh"
 #include "topology/switch_cluster.hh"
 
-// Counting global allocator: lets the AddFlowIsAllocationFree test
-// assert the cached hot path performs zero heap allocation.
-namespace {
-std::size_t g_allocCount = 0;
-} // namespace
-
-void *
-operator new(std::size_t size)
-{
-    ++g_allocCount;
-    if (void *p = std::malloc(size ? size : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return ::operator new(size);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
+// Counting global allocator (g_allocCount) for the allocation-free
+// hot-path assertions.
+#include "alloc_counter.hh"
 
 using namespace moentwine;
 
@@ -185,11 +142,11 @@ TEST(RouteCache, AddFlowIsAllocationFreeOnCachedPath)
     // Warm up: the first query builds the all-pairs route table.
     traffic.addFlow(0, mesh.numDevices() - 1, 64.0);
 
-    const std::size_t before = g_allocCount;
+    const std::size_t before = g_allocCount.load();
     for (DeviceId s = 0; s < mesh.numDevices(); ++s)
         for (DeviceId d = 0; d < mesh.numDevices(); ++d)
             traffic.addFlow(s, d, 128.0);
-    EXPECT_EQ(g_allocCount, before)
+    EXPECT_EQ(g_allocCount.load(), before)
         << "cached addFlow must not allocate";
 }
 

@@ -101,8 +101,9 @@ struct EngineConfig
     double emaAlpha = 0.3;
     /**
      * Aggregate dispatch/combine flows into the per-(src, dst) byte
-     * matrix before the all-to-all (the fast path). Disable only to
-     * measure the pre-aggregation baseline in bench/perf_routing.
+     * matrix before the all-to-all (the fast path). Disable only for
+     * the per-flow reference path flow_aggregation_test compares
+     * bitwise against the fast path.
      */
     bool aggregateFlows = true;
     /**

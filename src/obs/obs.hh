@@ -1,14 +1,13 @@
 /**
  * @file
  * Umbrella header and attach-point vocabulary of the observability
- * layer (src/obs/): stat registry, sim-time trace sink, hardware
- * counters, and the ObsHooks bundle simulation layers accept.
+ * layer (src/obs/): stat registry, sim-time trace sink, and the
+ * ObsHooks bundle simulation layers accept.
  */
 
 #ifndef MOENTWINE_OBS_OBS_HH
 #define MOENTWINE_OBS_OBS_HH
 
-#include "obs/hw_counters.hh"
 #include "obs/stat_registry.hh"
 #include "obs/trace.hh"
 

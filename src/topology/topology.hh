@@ -93,12 +93,10 @@ class RouteTable
     /**
      * Test hook: drop the table and make built() stay false so the
      * owning topology falls back to computeRoute() on every query.
-     * Used by bench/perf_routing to measure the no-cache baseline.
+     * Used by the 16k-device scale_smoke (an all-pairs table would not
+     * fit) and by the tests as the uncached reference.
      */
     void disableCache();
-
-    /** Re-enable caching after disableCache() (table rebuilds lazily). */
-    void enableCache() { disabled_ = false; }
 
     /** True while the test hook holds the cache off. */
     bool disabled() const { return disabled_; }
@@ -202,9 +200,9 @@ enum class RouteStorageKind
  * of src/ does. Call finalizeRoutes() to pay the build cost eagerly
  * (System::make does) so worker threads never contend on the guard.
  *
- * The disableRouteCache()/enableRouteCache() and setRouteStorage()
- * hooks mutate cache state and are NOT thread-safe; they exist for
- * single-threaded configuration and benchmarking only.
+ * The disableRouteCache() and setRouteStorage() hooks mutate cache
+ * state and are NOT thread-safe; they exist for single-threaded
+ * configuration and tests only.
  */
 class Topology
 {
@@ -369,20 +367,19 @@ class Topology
 
     /**
      * Heap bytes of the built route storage (whichever representation
-     * is active; builds it first). The number perf_routing records.
+     * is active; builds it first). scale_smoke and the tests compare
+     * it across storages.
      */
     std::size_t routeStorageBytes() const;
 
     /**
      * Test hook: route every query through computeRoute() instead of
-     * the cache (bench/perf_routing's no-cache baseline). The scratch-
-     * backed PathView returned by route() in this mode is invalidated
-     * by the next route() call on this topology.
+     * the cache (the 16k-device scale_smoke and the tests' uncached
+     * reference). The scratch-backed PathView returned by route() in
+     * this mode is invalidated by the next route() call on this
+     * topology.
      */
     void disableRouteCache();
-
-    /** Undo disableRouteCache(); the storage rebuilds on next query. */
-    void enableRouteCache() { routes_.enableCache(); }
 
     /**
      * Eagerly build the all-pairs route storage (no-op when it is
@@ -427,8 +424,9 @@ class Topology
     // Serialises the lazy build when several threads race on first use.
     mutable std::mutex routeBuildMutex_;
     // Backing storage for route() views while the cache is disabled or
-    // the next-hop storage is active. Deliberately unguarded: those
-    // route() modes are single-threaded (tests and benchmarking).
+    // the next-hop storage is active. Deliberately unguarded: route()
+    // is called directly only from tests, and walk() reaches the
+    // uncached mode only in the serial 16k-device scale_smoke.
     mutable std::vector<LinkId> uncachedScratch_;
 };
 

@@ -155,8 +155,8 @@ runSparseScalePoint(int devices, int meshN, const std::string &tracePath)
 
     // No System::make here: an all-pairs route table (next-hop or CSR)
     // is itself O(devices²) — gigabytes at 16k — so this point runs on
-    // on-the-fly XY routes. walk() falls back to a per-topology
-    // scratch, which is fine single-threaded.
+    // routes folded from nextHop() per query. walk() fills a
+    // per-topology scratch, which is fine single-threaded.
     MeshTopology mesh = MeshTopology::waferRow(4, meshN);
     mesh.disableRouteCache();
     const HierarchicalErMapping her(

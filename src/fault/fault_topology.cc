@@ -68,29 +68,17 @@ FaultTopology::restoreLink(LinkId link)
     applyBandwidth(link);
 }
 
-std::vector<LinkId>
-FaultTopology::computeRoute(DeviceId src, DeviceId dst) const
+LinkId
+FaultTopology::nextHop(NodeId node, DeviceId dst) const
 {
     // Fault-free and degrade-only overlays keep the base paths; only
-    // failures force the reroute trees.
+    // failures force the reroute trees (-1 at dst or when unreachable).
     if (failedLinkCount_ == 0)
-        return base_->computeRoute(src, dst);
-    MOE_ASSERT(!towardDst_.empty(),
-               "computeRoute before rebuildAfterFaults");
-    std::vector<LinkId> out;
-    if (src == dst)
-        return out;
-    NodeId n = src;
-    while (n != dst) {
-        const LinkId l = towardDst_[static_cast<std::size_t>(n) *
-                                        static_cast<std::size_t>(devices_) +
-                                    static_cast<std::size_t>(dst)];
-        if (l < 0)
-            return {}; // unreachable: reported, never mis-routed
-        out.push_back(l);
-        n = links_[static_cast<std::size_t>(l)].dst;
-    }
-    return out;
+        return base_->nextHop(node, dst);
+    MOE_ASSERT(!towardDst_.empty(), "nextHop before rebuildAfterFaults");
+    return towardDst_[static_cast<std::size_t>(node) *
+                          static_cast<std::size_t>(devices_) +
+                      static_cast<std::size_t>(dst)];
 }
 
 void

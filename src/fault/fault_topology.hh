@@ -9,18 +9,18 @@
  * failed link at a vanishingly small epsilon so any accidental use
  * explodes a timing instead of passing silently. Routing:
  *
- *  - With no failed links, computeRoute() delegates to the base
- *    topology, so a degrade-only overlay reproduces the base paths
- *    exactly (the rebuilt scalar tables differ only where bandwidth
- *    changed).
- *  - With failed links, per-destination min-hop trees are built over
- *    the live links (reverse BFS from each destination; ties broken by
- *    ascending link id), which makes the rerouted function node-
- *    locally deterministic — the property NextHopTable::build()
- *    verifies — so the overlay reuses the RouteStorageKind machinery
- *    unchanged. A pair with no live path gets an empty route and is
- *    reported via reachable()/isolatedDevices(); walking it trips the
- *    PathWalker's loud no-next-hop assertion rather than mis-routing.
+ *  - With no failed links, nextHop() delegates to the base topology,
+ *    so a degrade-only overlay reproduces the base paths exactly (the
+ *    rebuilt scalar tables differ only where bandwidth changed).
+ *  - With failed links, nextHop() reads per-destination min-hop trees
+ *    built over the live links (reverse BFS from each destination;
+ *    ties broken by ascending link id). Every route storage is filled
+ *    from nextHop(), so the overlay reuses the RouteStorageKind
+ *    machinery unchanged. A pair with no live path has no next hop:
+ *    an empty route with hops() == 0, reported via
+ *    reachable()/isolatedDevices(); walking it under the next-hop
+ *    storage trips the PathWalker's loud no-next-hop assertion rather
+ *    than mis-routing.
  *
  * Devices cut off from the largest mutually-reachable component
  * (smallest lowest-member tie-break) are reported as isolated; the
@@ -58,8 +58,8 @@ class FaultTopology : public Topology
     int numNodes() const override { return nodes_; }
     std::string name() const override;
 
-    std::vector<LinkId> computeRoute(DeviceId src,
-                                     DeviceId dst) const override;
+    /** base's nextHop() fault-free, else the live reroute tree's. */
+    LinkId nextHop(NodeId node, DeviceId dst) const override;
 
     /** Run the link at factor × nameplate (replaces prior degrade). */
     void degradeLink(LinkId link, double bwFactor);

@@ -1,15 +1,19 @@
 /**
  * @file
  * Basic graph vocabulary shared by the topology headers: node/device/
- * link identifiers, the Link record, and the borrowed PathView range.
- * Split out of topology.hh so the route-storage headers
- * (next_hop_table.hh) can name these types without a circular include.
+ * link identifiers, the Link record, the borrowed PathView range, and
+ * followNextHops(), the one route walk every route storage and
+ * uncached query is folded from. Split out of topology.hh so the
+ * route-storage headers (next_hop_table.hh) can name these without a
+ * circular include.
  */
 
 #ifndef MOENTWINE_TOPOLOGY_GRAPH_HH
 #define MOENTWINE_TOPOLOGY_GRAPH_HH
 
 #include <cstddef>
+
+#include "common/logging.hh"
 
 namespace moentwine {
 
@@ -33,12 +37,41 @@ struct Link
 };
 
 /**
+ * Follow a next-hop function from @p src to @p dst: next(n, to) names
+ * the link leaving node n toward @p dst (-1 when there is none) and
+ * sets @p to to the node it reaches, and onLink(id, link) runs once
+ * per hop in path order. Returns the hop count, 0 when src == dst or
+ * next(src) is -1 (no route). Aborts when the walk dead-ends short of
+ * @p dst or runs past @p maxHops hops (a routing cycle) instead of
+ * mis-routing or spinning.
+ */
+template <class Next, class OnLink>
+int
+followNextHops(NodeId src, DeviceId dst, int maxHops, const Link *links,
+               Next &&next, OnLink &&onLink)
+{
+    int hops = 0;
+    for (NodeId n = src; n != dst; ++hops) {
+        NodeId to = n;
+        const LinkId l = next(n, to);
+        if (l < 0) {
+            MOE_ASSERT(n == src, "next hop dead-ends short of the "
+                                 "destination");
+            break;
+        }
+        MOE_ASSERT(hops < maxHops, "routing cycle: walk is longer than "
+                                   "numNodes() hops");
+        onLink(l, links[static_cast<std::size_t>(l)]);
+        n = to;
+    }
+    return hops;
+}
+
+/**
  * Non-owning view of a deterministic route: a contiguous LinkId range
- * borrowed from the owning topology's route arena (or, with the route
- * cache disabled or the next-hop storage active, from a per-topology
- * scratch buffer that the next route() call overwrites). Valid while
- * the topology is alive and, on the scratch-backed paths, only until
- * the next route() call.
+ * borrowed from the owning topology's CSR route arena (valid for the
+ * topology's lifetime) or, with the route cache disabled, from the
+ * per-topology scratch that the next uncached walk() overwrites.
  */
 class PathView
 {
@@ -55,13 +88,6 @@ class PathView
 
     const_iterator begin() const { return data_; }
     const_iterator end() const { return data_ + size_; }
-
-    std::size_t size() const { return size_; }
-    bool empty() const { return size_ == 0; }
-
-    LinkId operator[](std::size_t i) const { return data_[i]; }
-    LinkId front() const { return data_[0]; }
-    LinkId back() const { return data_[size_ - 1]; }
 
   private:
     const LinkId *data_ = nullptr;

@@ -24,20 +24,29 @@ MeshTopology::MeshTopology(const MeshSpec &spec)
                (c0 / spec.meshCols != c1 / spec.meshCols);
     };
 
-    auto connect = [&](int r0, int c0, int r1, int c1) {
+    // Links (r0, c0) → (r1, c1) as direction @p there and the reverse
+    // link as direction @p back.
+    dirLinks_.assign(static_cast<std::size_t>(rows_ * cols_),
+                     {-1, -1, -1, -1});
+    auto connect = [&](int r0, int c0, int r1, int c1, Dir there,
+                       Dir back) {
         const bool cross = crossesWafer(r0, c0, r1, c1);
         const double bw = cross ? spec.crossBandwidth : spec.linkBandwidth;
         const double lat = cross ? spec.crossLatency : spec.linkLatency;
-        addLink(deviceAt(r0, c0), deviceAt(r1, c1), bw, lat);
-        addLink(deviceAt(r1, c1), deviceAt(r0, c0), bw, lat);
+        const DeviceId a = deviceAt(r0, c0);
+        const DeviceId b = deviceAt(r1, c1);
+        dirLinks_[static_cast<std::size_t>(a)][there] =
+            addLink(a, b, bw, lat);
+        dirLinks_[static_cast<std::size_t>(b)][back] =
+            addLink(b, a, bw, lat);
     };
 
     for (int r = 0; r < rows_; ++r) {
         for (int c = 0; c < cols_; ++c) {
             if (c + 1 < cols_)
-                connect(r, c, r, c + 1);
+                connect(r, c, r, c + 1, kEast, kWest);
             if (r + 1 < rows_)
-                connect(r, c, r + 1, c);
+                connect(r, c, r + 1, c, kSouth, kNorth);
         }
     }
 }
@@ -62,32 +71,23 @@ MeshTopology::waferRow(int wafers, int n)
     return MeshTopology(spec);
 }
 
-std::vector<LinkId>
-MeshTopology::computeRoute(DeviceId src, DeviceId dst) const
+LinkId
+MeshTopology::nextHop(NodeId node, DeviceId dst) const
 {
-    MOE_ASSERT(src >= 0 && src < numDevices(), "route: bad src device");
-    MOE_ASSERT(dst >= 0 && dst < numDevices(), "route: bad dst device");
-    std::vector<LinkId> path;
-    Coord cur = coordOf(src);
-    const Coord goal = coordOf(dst);
     // X first (move along the row, changing the column), then Y.
-    while (cur.col != goal.col) {
-        const int next = cur.col + (goal.col > cur.col ? 1 : -1);
-        const LinkId l = linkBetween(deviceAt(cur.row, cur.col),
-                                     deviceAt(cur.row, next));
-        MOE_ASSERT(l >= 0, "mesh adjacency missing during XY routing");
-        path.push_back(l);
-        cur.col = next;
+    const int col = node % cols_;
+    const int goalCol = dst % cols_;
+    Dir dir;
+    if (col != goalCol) {
+        dir = goalCol > col ? kEast : kWest;
+    } else {
+        const int row = node / cols_;
+        const int goalRow = dst / cols_;
+        if (row == goalRow)
+            return -1;
+        dir = goalRow > row ? kSouth : kNorth;
     }
-    while (cur.row != goal.row) {
-        const int next = cur.row + (goal.row > cur.row ? 1 : -1);
-        const LinkId l = linkBetween(deviceAt(cur.row, cur.col),
-                                     deviceAt(next, cur.col));
-        MOE_ASSERT(l >= 0, "mesh adjacency missing during XY routing");
-        path.push_back(l);
-        cur.row = next;
-    }
-    return path;
+    return dirLinks_[static_cast<std::size_t>(node)][dir];
 }
 
 std::string

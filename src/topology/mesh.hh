@@ -17,6 +17,7 @@
 #ifndef MOENTWINE_TOPOLOGY_MESH_HH
 #define MOENTWINE_TOPOLOGY_MESH_HH
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -89,8 +90,12 @@ class MeshTopology : public Topology
 
     int numDevices() const override { return rows_ * cols_; }
 
-    std::vector<LinkId> computeRoute(DeviceId src,
-                                     DeviceId dst) const override;
+    /**
+     * XY step: toward @p dst's column first, then its row. A table
+     * lookup per call (no adjacency hashing): the uncached 16k-device
+     * walks call it once per hop.
+     */
+    LinkId nextHop(NodeId node, DeviceId dst) const override;
 
     std::string name() const override;
 
@@ -143,9 +148,15 @@ class MeshTopology : public Topology
     const MeshSpec &spec() const { return spec_; }
 
   private:
+    /** Direction slots of dirLinks_. */
+    enum Dir { kEast, kWest, kSouth, kNorth };
+
     MeshSpec spec_;
     int rows_;
     int cols_;
+    // Per device, its outgoing link toward each Dir (-1 at the mesh
+    // edge), recorded as the links are added.
+    std::vector<std::array<LinkId, 4>> dirLinks_;
 };
 
 } // namespace moentwine

@@ -1,7 +1,5 @@
 #include "topology/next_hop_table.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 #include "topology/topology.hh"
 
@@ -65,48 +63,44 @@ NextHopTable::build(const Topology &topo)
     latency_.assign(pairs, 0.0);
     invBwSum_.assign(pairs, 0.0);
 
-    // Destinations are filled in tiles of kTileDests so the columns a
-    // tile's routes write (kTileDests × nodes entries) stay cached
-    // while every source is visited; the result does not depend on the
-    // visiting order.
-    constexpr int kTileDests = 64;
-    for (DeviceId dt = 0; dt < devices; dt += kTileDests) {
-        const DeviceId dEnd = std::min(dt + kTileDests, devices);
+    for (DeviceId dst = 0; dst < devices; ++dst) {
+        NextHopEntry *col = nextHop_.data() +
+            static_cast<std::size_t>(dst) * static_cast<std::size_t>(nodes_);
+        for (NodeId n = 0; n < nodes_; ++n) {
+            const LinkId l = topo.nextHop(n, dst);
+            if (l >= 0) {
+                col[n] = NextHopEntry{
+                    static_cast<std::uint16_t>(l),
+                    static_cast<std::uint16_t>(
+                        links[static_cast<std::size_t>(l)].dst)};
+            }
+        }
+        // Scalars fold link by link in path order (the column walked
+        // from each source), the order RouteTable::build() uses too, so
+        // both storages answer bitwise identical doubles. The walk
+        // steps to each entry's packed node, so its only dependent
+        // load per hop is the next column entry.
+        const auto columnHop = [col](NodeId n, NodeId &to) {
+            const NextHopEntry e = col[static_cast<std::size_t>(n)];
+            to = e.node;
+            return e.link == NextHopEntry::kNoHop ? LinkId{-1}
+                                                  : LinkId{e.link};
+        };
         for (DeviceId src = 0; src < devices; ++src) {
-            for (DeviceId dst = dt; dst < dEnd; ++dst) {
-                const auto path = topo.computeRoute(src, dst);
-                // Scalars accumulate link by link in path order — the
-                // exact summation order of RouteTable::build(), so both
-                // storages answer bitwise identical doubles.
-                double lat = 0.0;
-                double invBw = 0.0;
-                NextHopEntry *col = nextHop_.data() +
-                    static_cast<std::size_t>(dst) *
-                        static_cast<std::size_t>(nodes_);
-                for (const LinkId l : path) {
-                    const Link &link = links[static_cast<std::size_t>(l)];
+            double lat = 0.0;
+            double invBw = 0.0;
+            const int hops = followNextHops(
+                src, dst, nodes_, links.data(), columnHop,
+                [&](LinkId, const Link &link) {
                     lat += link.latency;
                     invBw += 1.0 / link.bandwidth;
-                    NextHopEntry &slot =
-                        col[static_cast<std::size_t>(link.src)];
-                    if (slot.link == NextHopEntry::kNoHop) {
-                        slot.link = static_cast<std::uint16_t>(l);
-                        slot.node = static_cast<std::uint16_t>(link.dst);
-                    } else {
-                        // Two routes crossing link.src toward dst must
-                        // leave over the same link, or the compressed
-                        // matrix cannot reproduce the arena's paths.
-                        MOE_ASSERT(slot.link == l,
-                                   "routing is not next-hop consistent");
-                    }
-                }
-                const std::size_t p = static_cast<std::size_t>(src) *
-                        static_cast<std::size_t>(devices) +
-                    static_cast<std::size_t>(dst);
-                hops_[p] = static_cast<int>(path.size());
-                latency_[p] = lat;
-                invBwSum_[p] = invBw;
-            }
+                });
+            const std::size_t p = static_cast<std::size_t>(src) *
+                    static_cast<std::size_t>(devices) +
+                static_cast<std::size_t>(dst);
+            hops_[p] = hops;
+            latency_[p] = lat;
+            invBwSum_[p] = invBw;
         }
     }
     // Publish the finished matrix: pairs with built() acquire loads.

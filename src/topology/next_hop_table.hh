@@ -5,8 +5,9 @@
  * The CSR route arena (RouteTable) stores every (src, dst) path
  * explicitly, so its footprint grows O(devices² × avg hops) — beyond
  * roughly a thousand devices the arena dominates process RSS. The
- * NextHopTable compresses the same deterministic routing function to
- * O(devices²): one packed next-hop entry per (destination, node) pair,
+ * NextHopTable tabulates the topology's routing function itself,
+ * Topology::nextHop(), in O(devices × nodes): one packed next-hop
+ * entry per (destination, node) pair,
  * plus the per-pair scalars (hop count, path latency, Σ 1/bandwidth)
  * that keep the O(1) Topology::hops()/pathLatency()/
  * pathInvBandwidthSum() queries alive. The few consumers that actually
@@ -22,17 +23,12 @@
  * largest system in the repo, a 16384-device 4×(64×64) mesh, has 64896
  * links).
  *
- * Compression is valid because routing here is node-locally
- * deterministic: the next link toward a destination depends only on
- * the current node and that destination (dimension-ordered XY on the
- * mesh, up/over/down on switch clusters). build() verifies this
- * property while populating the matrix and fails loudly on a topology
- * whose computeRoute() violates it.
- *
- * The per-pair scalars are accumulated link-by-link in exactly the
- * order RouteTable::build() walks them, so a topology answers bitwise
- * identical latency/bandwidth sums under either storage — a
- * representation change, not a semantics change.
+ * build() fills each destination's column in O(nodes) from nextHop(),
+ * then walks the column from every source to sum the per-pair scalars
+ * link by link in path order: exactly the order RouteTable::build()
+ * folds them, so a topology answers bitwise identical latency and
+ * Σ 1/bandwidth sums under either storage. A walk longer than
+ * numNodes() hops means nextHop() cycles; build() aborts on it.
  */
 
 #ifndef MOENTWINE_TOPOLOGY_NEXT_HOP_TABLE_HH
@@ -91,11 +87,9 @@ class NextHopTable
     NextHopTable &operator=(NextHopTable &&other) noexcept;
 
     /**
-     * Precompute the next-hop matrix and per-pair scalars from
-     * topo.computeRoute(). Asserts that link and node ids fit the
-     * 16-bit entry fields, and that routing is next-hop consistent
-     * (two routes crossing a node toward the same destination leave it
-     * over the same link).
+     * Precompute the next-hop matrix from topo.nextHop() and the
+     * per-pair scalars by walking it. Asserts that link and node ids
+     * fit the 16-bit entry fields and that no walk cycles.
      */
     void build(const Topology &topo);
 
@@ -112,7 +106,7 @@ class NextHopTable
     /**
      * The next-hop column of destination @p dst, indexed by node: entry
      * n is the link leaving node n toward @p dst and the node it leads
-     * to (kNoHop when n == dst or no route crosses n).
+     * to (kNoHop when n == dst or n has no route to @p dst).
      */
     const NextHopEntry *column(DeviceId dst) const
     {
@@ -145,9 +139,6 @@ class NextHopTable
     {
         return invBwSum_[pairIndex(src, dst)];
     }
-
-    /** Compute devices covered by the scalar tables. */
-    int numDevices() const { return devices_; }
 
     /** Heap footprint of the built table (route-storage bytes). */
     std::size_t storageBytes() const;

@@ -1,8 +1,5 @@
 #include "topology/topology.hh"
 
-#include <algorithm>
-#include <limits>
-
 #include "common/logging.hh"
 
 namespace moentwine {
@@ -17,7 +14,6 @@ RouteTable::operator=(const RouteTable &other)
     offsets_ = other.offsets_;
     paths_ = other.paths_;
     latency_ = other.latency_;
-    minBw_ = other.minBw_;
     invBwSum_ = other.invBwSum_;
     built_.store(other.built_.load(std::memory_order_acquire),
                  std::memory_order_release);
@@ -34,7 +30,6 @@ RouteTable::operator=(RouteTable &&other) noexcept
     offsets_ = std::move(other.offsets_);
     paths_ = std::move(other.paths_);
     latency_ = std::move(other.latency_);
-    minBw_ = std::move(other.minBw_);
     invBwSum_ = std::move(other.invBwSum_);
     built_.store(other.built_.load(std::memory_order_acquire),
                  std::memory_order_release);
@@ -53,33 +48,26 @@ RouteTable::build(const Topology &topo)
         static_cast<std::size_t>(devices);
     offsets_.assign(pairs + 1, 0);
     latency_.assign(pairs, 0.0);
-    minBw_.assign(pairs, 0.0);
     invBwSum_.assign(pairs, 0.0);
     paths_.clear();
     // Arena size is the sum of all-pairs hop counts; one hop per pair
     // is a safe floor that avoids most of the regrowth during build.
     paths_.reserve(pairs);
 
-    const auto &links = topo.links();
     std::size_t p = 0;
     for (DeviceId src = 0; src < devices; ++src) {
         for (DeviceId dst = 0; dst < devices; ++dst, ++p) {
-            const auto path = topo.computeRoute(src, dst);
+            // Scalars fold link by link in path order, the order
+            // NextHopTable::build() uses too: bitwise equal doubles.
             double lat = 0.0;
             double invBw = 0.0;
-            double minBw = path.empty()
-                ? 0.0
-                : std::numeric_limits<double>::infinity();
-            for (const LinkId l : path) {
-                const Link &link = links[static_cast<std::size_t>(l)];
+            topo.foldRoute(src, dst, [&](LinkId l, const Link &link) {
                 lat += link.latency;
                 invBw += 1.0 / link.bandwidth;
-                minBw = std::min(minBw, link.bandwidth);
                 paths_.push_back(l);
-            }
+            });
             offsets_[p + 1] = paths_.size();
             latency_[p] = lat;
-            minBw_[p] = minBw;
             invBwSum_[p] = invBw;
         }
     }
@@ -93,7 +81,6 @@ RouteTable::storageBytes() const
     return offsets_.capacity() * sizeof(std::size_t) +
         paths_.capacity() * sizeof(LinkId) +
         latency_.capacity() * sizeof(double) +
-        minBw_.capacity() * sizeof(double) +
         invBwSum_.capacity() * sizeof(double);
 }
 
@@ -108,8 +95,6 @@ RouteTable::reset()
     paths_.shrink_to_fit();
     latency_.clear();
     latency_.shrink_to_fit();
-    minBw_.clear();
-    minBw_.shrink_to_fit();
     invBwSum_.clear();
     invBwSum_.shrink_to_fit();
 }

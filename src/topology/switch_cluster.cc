@@ -18,17 +18,21 @@ SwitchClusterTopology::SwitchClusterTopology(const SwitchClusterSpec &spec)
     // Device ↔ node-switch links.
     for (DeviceId d = 0; d < devices; ++d) {
         const NodeId sw = switchOf(nodeOf(d));
-        addLink(d, sw, spec.intraBandwidth, spec.intraLatency);
-        addLink(sw, d, spec.intraBandwidth, spec.intraLatency);
+        deviceUp_.push_back(
+            addLink(d, sw, spec.intraBandwidth, spec.intraLatency));
+        deviceDown_.push_back(
+            addLink(sw, d, spec.intraBandwidth, spec.intraLatency));
     }
 
     // Node-switch ↔ spine links (aggregate IB bandwidth per node).
     if (multiNode) {
         for (int n = 0; n < spec.numNodes; ++n) {
-            addLink(switchOf(n), spine(),
-                    spec.interBandwidth, spec.interLatency);
-            addLink(spine(), switchOf(n),
-                    spec.interBandwidth, spec.interLatency);
+            switchUp_.push_back(addLink(switchOf(n), spine(),
+                                        spec.interBandwidth,
+                                        spec.interLatency));
+            switchDown_.push_back(addLink(spine(), switchOf(n),
+                                          spec.interBandwidth,
+                                          spec.interLatency));
         }
     }
 }
@@ -62,26 +66,19 @@ SwitchClusterTopology::nvl72()
     return SwitchClusterTopology(spec);
 }
 
-std::vector<LinkId>
-SwitchClusterTopology::computeRoute(DeviceId src, DeviceId dst) const
+LinkId
+SwitchClusterTopology::nextHop(NodeId node, DeviceId dst) const
 {
-    MOE_ASSERT(src >= 0 && src < numDevices(), "route: bad src device");
-    MOE_ASSERT(dst >= 0 && dst < numDevices(), "route: bad dst device");
-    std::vector<LinkId> path;
-    if (src == dst)
-        return path;
-
-    const NodeId srcSw = switchOf(nodeOf(src));
-    const NodeId dstSw = switchOf(nodeOf(dst));
-    path.push_back(linkBetween(src, srcSw));
-    if (srcSw != dstSw) {
-        path.push_back(linkBetween(srcSw, spine()));
-        path.push_back(linkBetween(spine(), dstSw));
-    }
-    path.push_back(linkBetween(dstSw, dst));
-    for (LinkId l : path)
-        MOE_ASSERT(l >= 0, "switch-cluster adjacency missing");
-    return path;
+    if (node == dst)
+        return -1;
+    const int dstNode = nodeOf(dst);
+    if (node < numDevices())
+        return deviceUp_[static_cast<std::size_t>(node)];
+    if (spec_.numNodes > 1 && node == spine())
+        return switchDown_[static_cast<std::size_t>(dstNode)];
+    const int atNode = node - numDevices();
+    return atNode == dstNode ? deviceDown_[static_cast<std::size_t>(dst)]
+                             : switchUp_[static_cast<std::size_t>(atNode)];
 }
 
 std::string

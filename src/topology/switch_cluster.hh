@@ -65,8 +65,12 @@ class SwitchClusterTopology : public Topology
 
     int numNodes() const override { return totalNodes_; }
 
-    std::vector<LinkId> computeRoute(DeviceId src,
-                                     DeviceId dst) const override;
+    /**
+     * Up/over/down: a device climbs to its node switch, a switch
+     * descends to a local destination or climbs to the spine, and the
+     * spine descends to the destination's node switch.
+     */
+    LinkId nextHop(NodeId node, DeviceId dst) const override;
 
     std::string name() const override;
 
@@ -91,6 +95,12 @@ class SwitchClusterTopology : public Topology
 
     SwitchClusterSpec spec_;
     int totalNodes_;
+    // Per device: its link up to / down from its node switch. Per node
+    // (multi-node only): its switch's link up to / down from the spine.
+    std::vector<LinkId> deviceUp_;
+    std::vector<LinkId> deviceDown_;
+    std::vector<LinkId> switchUp_;
+    std::vector<LinkId> switchDown_;
 };
 
 } // namespace moentwine

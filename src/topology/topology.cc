@@ -6,30 +6,28 @@
 
 namespace moentwine {
 
-PathView
-Topology::route(DeviceId src, DeviceId dst) const
+std::vector<LinkId>
+Topology::computeRoute(DeviceId src, DeviceId dst) const
 {
-    if (routes_.disabled()) {
-        uncachedScratch_ = computeRoute(src, dst);
-        return PathView(uncachedScratch_.data(), uncachedScratch_.size());
-    }
-    ensureRoutes();
-    if (nextHops_.built()) {
-        // Materialise the walk so callers keep a contiguous view; the
-        // scratch is overwritten by the next route() call (see header).
-        uncachedScratch_.clear();
-        for (const LinkId l : walk(src, dst))
-            uncachedScratch_.push_back(l);
-        return PathView(uncachedScratch_.data(), uncachedScratch_.size());
-    }
-    return routes_.path(src, dst);
+    std::vector<LinkId> path;
+    foldRoute(src, dst, [&path](LinkId l, const Link &) {
+        path.push_back(l);
+    });
+    return path;
 }
 
 PathWalker
 Topology::walk(DeviceId src, DeviceId dst) const
 {
-    if (routes_.disabled())
-        return PathWalker(route(src, dst));
+    if (routes_.disabled()) {
+        // clear() keeps the capacity, so steady-state walks reuse it.
+        uncachedScratch_.clear();
+        foldRoute(src, dst, [this](LinkId l, const Link &) {
+            uncachedScratch_.push_back(l);
+        });
+        return PathWalker(
+            PathView(uncachedScratch_.data(), uncachedScratch_.size()));
+    }
     ensureRoutes();
     if (nextHops_.built())
         return PathWalker(nextHops_, src, dst);
@@ -40,7 +38,7 @@ int
 Topology::hops(DeviceId src, DeviceId dst) const
 {
     if (routes_.disabled())
-        return static_cast<int>(computeRoute(src, dst).size());
+        return foldRoute(src, dst, [](LinkId, const Link &) {});
     ensureRoutes();
     if (nextHops_.built())
         return nextHops_.hops(src, dst);
@@ -51,10 +49,8 @@ void
 Topology::minHopsFrom(DeviceId src, int *out) const
 {
     if (routes_.disabled()) {
-        for (DeviceId d = 0; d < numDevices(); ++d) {
-            out[d] = std::min(
-                out[d], static_cast<int>(computeRoute(src, d).size()));
-        }
+        for (DeviceId d = 0; d < numDevices(); ++d)
+            out[d] = std::min(out[d], hops(src, d));
         return;
     }
     ensureRoutes();
@@ -69,8 +65,9 @@ Topology::pathLatency(DeviceId src, DeviceId dst) const
 {
     if (routes_.disabled()) {
         double total = 0.0;
-        for (LinkId l : computeRoute(src, dst))
-            total += links_[static_cast<std::size_t>(l)].latency;
+        foldRoute(src, dst, [&total](LinkId, const Link &link) {
+            total += link.latency;
+        });
         return total;
     }
     ensureRoutes();
@@ -80,71 +77,19 @@ Topology::pathLatency(DeviceId src, DeviceId dst) const
 }
 
 double
-Topology::pathBandwidth(DeviceId src, DeviceId dst) const
-{
-    if (routes_.disabled()) {
-        const auto path = computeRoute(src, dst);
-        MOE_ASSERT(!path.empty(), "pathBandwidth of a zero-hop route");
-        double bw = links_[static_cast<std::size_t>(path.front())].bandwidth;
-        for (LinkId l : path)
-            bw = std::min(bw, links_[static_cast<std::size_t>(l)].bandwidth);
-        return bw;
-    }
-    ensureRoutes();
-    if (nextHops_.built()) {
-        // The compressed storage keeps no bottleneck column (it is the
-        // one Eq.(1) ingredient nothing queries per iteration); a walk
-        // reproduces the arena's min over the identical link set.
-        MOE_ASSERT(nextHops_.hops(src, dst) > 0,
-                   "pathBandwidth of a zero-hop route");
-        double bw = 0.0;
-        for (const LinkId l : walk(src, dst)) {
-            const double b = links_[static_cast<std::size_t>(l)].bandwidth;
-            bw = bw == 0.0 ? b : std::min(bw, b);
-        }
-        return bw;
-    }
-    const double bw = routes_.minBandwidth(src, dst);
-    MOE_ASSERT(bw > 0.0, "pathBandwidth of a zero-hop route");
-    return bw;
-}
-
-double
 Topology::pathInvBandwidthSum(DeviceId src, DeviceId dst) const
 {
     if (routes_.disabled()) {
         double total = 0.0;
-        for (LinkId l : computeRoute(src, dst))
-            total += 1.0 / links_[static_cast<std::size_t>(l)].bandwidth;
+        foldRoute(src, dst, [&total](LinkId, const Link &link) {
+            total += 1.0 / link.bandwidth;
+        });
         return total;
     }
     ensureRoutes();
     if (nextHops_.built())
         return nextHops_.invBandwidthSum(src, dst);
     return routes_.invBandwidthSum(src, dst);
-}
-
-const RouteTable &
-Topology::routeTable() const
-{
-    MOE_ASSERT(!routes_.disabled(),
-               "routeTable() while the cache is disabled");
-    MOE_ASSERT(activeRouteStorage() == RouteStorageKind::CsrArena,
-               "routeTable() under the next-hop storage; use "
-               "nextHopTable() or walk()");
-    ensureRoutes();
-    return routes_;
-}
-
-const NextHopTable &
-Topology::nextHopTable() const
-{
-    MOE_ASSERT(!routes_.disabled(),
-               "nextHopTable() while the cache is disabled");
-    MOE_ASSERT(activeRouteStorage() == RouteStorageKind::NextHop,
-               "nextHopTable() under the CSR storage; use routeTable()");
-    ensureRoutes();
-    return nextHops_;
 }
 
 void

@@ -6,32 +6,35 @@
  * A topology is a directed graph of unidirectional links between nodes.
  * Nodes [0, numDevices()) are compute devices; a topology may add
  * internal nodes beyond that range (e.g. switches in a DGX cluster).
- * Routing is deterministic: route(src, dst) always returns the same link
- * sequence, which is what lets the analytical congestion model accumulate
- * per-link traffic volumes reproducibly.
  *
- * Because routes are deterministic and topologies immutable after
- * construction, all-pairs routing is precomputed once into one of two
- * interchangeable storages selected by a RouteStorage policy:
+ * Routing is one function per topology family: nextHop(node, dst), the
+ * link leaving a node toward a destination device (XY step on the
+ * mesh, up/over/down on switch clusters, the reroute trees of the
+ * fault overlay). Routes are therefore deterministic and node-locally
+ * consistent by construction, which is what lets the analytical
+ * congestion model accumulate per-link traffic volumes reproducibly.
+ * computeRoute() walks nextHop() into a fresh vector; it is the
+ * reference the tests compare every storage against.
+ *
+ * Topologies are immutable after construction, so all-pairs routing is
+ * precomputed once into one of two interchangeable storages selected
+ * by a RouteStorage policy, both filled by walking nextHop():
  *
  *  - RouteTable (CSR arena): every path stored explicitly, O(devices² ×
- *    avg hops) memory; route() returns a stable borrowed PathView.
+ *    avg hops) memory; walk() iterates a borrowed contiguous view.
  *  - NextHopTable (compressed): one packed 4-byte {link, next node}
  *    entry per (dst, node), stored destination-major, O(devices ×
- *    nodes) memory; link sequences are reconstructed on the fly by a
- *    PathWalker cursor reading one contiguous column per walk (see
- *    Topology::walk()). Its 16-bit fields limit it to topologies of at
- *    most 65535 links and 65535 nodes, checked loudly at build.
+ *    nodes) memory; walk() follows one contiguous column. Its 16-bit
+ *    fields limit it to topologies of at most 65535 links and 65535
+ *    nodes, checked loudly at build.
  *
  * Both storages precompute the per-pair scalars, so hops(),
- * pathLatency(), pathBandwidth() and pathInvBandwidthSum() are O(1)
- * non-allocating lookups either way, and both answer bitwise identical
- * values. The policy defaults to Auto: CSR below
- * kNextHopAutoThreshold devices (compact, stable views), compressed at
- * or above it (kilodevice meshes and switch clusters whose arena would
- * dominate RSS). Consumers that iterate links should prefer walk();
- * route() stays PathView-compatible but materialises into a per-
- * topology scratch under the compressed storage.
+ * pathLatency() and pathInvBandwidthSum() are O(1) non-allocating
+ * lookups either way, and both answer bitwise identical values. With
+ * the cache disabled the same queries fold nextHop() directly, still
+ * without allocating. The policy defaults to Auto: CSR below
+ * kNextHopAutoThreshold devices, compressed at or above it (kilodevice
+ * meshes and switch clusters whose arena would dominate RSS).
  */
 
 #ifndef MOENTWINE_TOPOLOGY_TOPOLOGY_HH
@@ -46,6 +49,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/logging.hh"
 #include "topology/graph.hh"
 #include "topology/next_hop_table.hh"
 
@@ -61,7 +65,6 @@ class Topology;
  * and no allocation. Per-pair scalars answer the Eq.(1) ingredients
  * without re-walking links:
  *  - latency(): sum of per-link latencies along the route;
- *  - minBandwidth(): bottleneck link bandwidth;
  *  - invBandwidthSum(): Σ 1/bw over the route's links, so the
  *    store-and-forward volume term of Eq.(1) is bytes × invBandwidthSum.
  */
@@ -79,7 +82,7 @@ class RouteTable
     RouteTable &operator=(const RouteTable &other);
     RouteTable &operator=(RouteTable &&other) noexcept;
 
-    /** Precompute all-pairs routes by calling topo.computeRoute(). */
+    /** Precompute all-pairs routes by walking topo.nextHop(). */
     void build(const Topology &topo);
 
     /**
@@ -92,7 +95,7 @@ class RouteTable
 
     /**
      * Test hook: drop the table and make built() stay false so the
-     * owning topology falls back to computeRoute() on every query.
+     * owning topology folds nextHop() on every query.
      * Used by the 16k-device scale_smoke (an all-pairs table would not
      * fit) and by the tests as the uncached reference.
      */
@@ -135,12 +138,6 @@ class RouteTable
         return latency_[pairIndex(src, dst)];
     }
 
-    /** Bottleneck bandwidth of the cached route (0 for zero-hop). */
-    double minBandwidth(DeviceId src, DeviceId dst) const
-    {
-        return minBw_[pairIndex(src, dst)];
-    }
-
     /** Σ 1/bandwidth over the cached route's links. */
     double invBandwidthSum(DeviceId src, DeviceId dst) const
     {
@@ -166,7 +163,6 @@ class RouteTable
     std::vector<std::size_t> offsets_;
     std::vector<LinkId> paths_;
     std::vector<double> latency_;
-    std::vector<double> minBw_;
     std::vector<double> invBwSum_;
 };
 
@@ -189,20 +185,20 @@ enum class RouteStorageKind
 /**
  * Base class for all network topologies.
  *
- * Route queries are served from a lazily built route storage (CSR
- * arena or next-hop matrix, see RouteStorageKind). The lazy build is
- * guarded (double-checked mutex + release-published flag), so a fully
- * constructed topology is safe to share across threads through `const`
- * references — including concurrent first use. One exception: route()
- * materialises into an unguarded per-topology scratch when the
- * next-hop storage is active (or the cache is disabled); concurrent
- * consumers must use walk() or the scalar queries, which is what all
- * of src/ does. Call finalizeRoutes() to pay the build cost eagerly
- * (System::make does) so worker threads never contend on the guard.
+ * Subclasses implement nextHop(); every route query is served from a
+ * lazily built route storage (CSR arena or next-hop matrix, see
+ * RouteStorageKind) filled from it. The lazy build is guarded
+ * (double-checked mutex + release-published flag), so every const
+ * query of a fully constructed topology is safe to share across
+ * threads — including concurrent first use. Call finalizeRoutes() to
+ * pay the build cost eagerly (System::make does) so worker threads
+ * never contend on the guard.
  *
  * The disableRouteCache() and setRouteStorage() hooks mutate cache
  * state and are NOT thread-safe; they exist for single-threaded
- * configuration and tests only.
+ * configuration and tests only. With the cache disabled, walk()
+ * materialises into a per-topology scratch, so that mode stays
+ * single-threaded too.
  */
 class Topology
 {
@@ -212,8 +208,8 @@ class Topology
     /**
      * Auto-policy cutover: systems at or above this many devices build
      * the compressed next-hop matrix instead of the CSR arena. Below
-     * it the arena is small (a few MB) and keeps route() views stable;
-     * above it the arena's O(devices² × avg hops) growth dominates
+     * it the arena is small (a few MB) and its walks skip the column
+     * lookups; above it the arena's O(devices² × avg hops) growth dominates
      * RSS, which is what blocked kilodevice systems.
      */
     static constexpr int kNextHopAutoThreshold = 512;
@@ -273,31 +269,48 @@ class Topology
     const std::vector<Link> &links() const { return links_; }
 
     /**
-     * Deterministic route between two compute devices, freshly derived
-     * (allocates). Consumers should prefer walk() or the cached route().
-     * @return Link indices in traversal order; empty when src == dst.
+     * The routing function: the link leaving @p node toward compute
+     * device @p dst, or -1 when node == dst or no route exists (a
+     * device cut off by faults). Every route storage and uncached
+     * query is folded from it.
      */
-    virtual std::vector<LinkId> computeRoute(DeviceId src,
-                                             DeviceId dst) const = 0;
+    virtual LinkId nextHop(NodeId node, DeviceId dst) const = 0;
 
     /**
-     * Deterministic route between two compute devices as a contiguous
-     * view. Under the CSR storage the view borrows the arena and stays
-     * valid for the topology's lifetime; under the next-hop storage
-     * (or with the cache disabled) it is materialised into a per-
-     * topology scratch that the next route() call on this topology
-     * overwrites — single-threaded use only in those modes. Link-
-     * iterating hot paths should use walk() instead, which never
-     * materialises.
-     * @return Borrowed link-id view; empty when src == dst.
+     * Fold the route src → dst straight from nextHop(), calling
+     * onLink(id, link) per hop in path order; returns the hop count.
+     * Allocation-free and storage-independent. Aborts on a routing
+     * cycle (a walk longer than numNodes() hops).
      */
-    PathView route(DeviceId src, DeviceId dst) const;
+    template <class OnLink>
+    int foldRoute(DeviceId src, DeviceId dst, OnLink &&onLink) const
+    {
+        MOE_ASSERT(src >= 0 && src < numDevices(), "route: bad src device");
+        MOE_ASSERT(dst >= 0 && dst < numDevices(), "route: bad dst device");
+        const auto next = [this, dst](NodeId n, NodeId &to) {
+            const LinkId l = nextHop(n, dst);
+            if (l >= 0)
+                to = links_[static_cast<std::size_t>(l)].dst;
+            return l;
+        };
+        return followNextHops(src, dst, numNodes(), links_.data(), next,
+                              onLink);
+    }
+
+    /**
+     * Deterministic route between two compute devices, freshly walked
+     * from nextHop() (allocates): the reference the tests compare the
+     * route storages against. Consumers should use walk().
+     * @return Link indices in traversal order; empty when src == dst.
+     */
+    std::vector<LinkId> computeRoute(DeviceId src, DeviceId dst) const;
 
     /**
      * Allocation-free cursor over the deterministic route, uniform
-     * across both route storages (and the disabled-cache mode, where
-     * it walks the scratch route() just derived). Safe to use
-     * concurrently from many threads on a finalized topology.
+     * across both route storages. Safe to use concurrently from many
+     * threads on a finalized topology. With the cache disabled it
+     * walks a per-topology scratch filled from nextHop(), which the
+     * next walk() on this topology overwrites.
      */
     PathWalker walk(DeviceId src, DeviceId dst) const;
 
@@ -317,9 +330,6 @@ class Topology
     /** Sum of per-link latencies along the deterministic route. */
     double pathLatency(DeviceId src, DeviceId dst) const;
 
-    /** Minimum link bandwidth along the deterministic route. */
-    double pathBandwidth(DeviceId src, DeviceId dst) const;
-
     /**
      * Σ 1/bandwidth over the deterministic route's links: the Eq.(1)
      * store-and-forward volume term per byte (0 when src == dst).
@@ -334,12 +344,6 @@ class Topology
      * not directly connected. O(1) hash lookup.
      */
     LinkId linkBetween(NodeId src, NodeId dst) const;
-
-    /** The CSR route cache (built on first use; CSR storage only). */
-    const RouteTable &routeTable() const;
-
-    /** The compressed route storage (next-hop storage only). */
-    const NextHopTable &nextHopTable() const;
 
     /**
      * Select the all-pairs route storage. A configuration hook, NOT
@@ -373,11 +377,9 @@ class Topology
     std::size_t routeStorageBytes() const;
 
     /**
-     * Test hook: route every query through computeRoute() instead of
-     * the cache (the 16k-device scale_smoke and the tests' uncached
-     * reference). The scratch-backed PathView returned by route() in
-     * this mode is invalidated by the next route() call on this
-     * topology.
+     * Test hook: answer every query by folding nextHop() instead of
+     * from a route storage (the 16k-device scale_smoke and the tests'
+     * uncached reference).
      */
     void disableRouteCache();
 
@@ -397,7 +399,7 @@ class Topology
 
     /**
      * Drop any built route storage so the next query rebuilds it from
-     * computeRoute(). For subclasses whose link state changes after
+     * nextHop(). For subclasses whose link state changes after
      * construction (the fault overlay mutates bandwidths and reroutes
      * around failed links); a finalized base topology stays immutable.
      * NOT thread-safe — callers must quiesce route queries first, which
@@ -423,10 +425,9 @@ class Topology
     mutable NextHopTable nextHops_;
     // Serialises the lazy build when several threads race on first use.
     mutable std::mutex routeBuildMutex_;
-    // Backing storage for route() views while the cache is disabled or
-    // the next-hop storage is active. Deliberately unguarded: route()
-    // is called directly only from tests, and walk() reaches the
-    // uncached mode only in the serial 16k-device scale_smoke.
+    // Backing storage for walk() while the cache is disabled.
+    // Deliberately unguarded: the uncached mode is a single-threaded
+    // hook (the serial 16k-device scale_smoke and the tests).
     mutable std::vector<LinkId> uncachedScratch_;
 };
 

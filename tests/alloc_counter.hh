@@ -43,25 +43,28 @@ operator new[](std::size_t size)
     return ::operator new(size);
 }
 
-void
+// The deletes stay out of line: inlined next to a replacement new, GCC
+// sees free() on an operator-new pointer and draws
+// -Wmismatched-new-delete, although both sides wrap malloc/free.
+[[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p, std::size_t) noexcept
 {
     std::free(p);

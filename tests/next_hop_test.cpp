@@ -2,8 +2,9 @@
  * @file
  * Equivalence tests for the compressed next-hop route storage:
  *  - property: PathWalker walks under the next-hop table reconstruct
- *    the CSR-arena routes link by link on mesh and switch-cluster
- *    topologies, and the per-pair scalars are bitwise identical;
+ *    the CSR-arena routes link by link on mesh, switch-cluster and
+ *    rerouted fault topologies, and the per-pair scalars are bitwise
+ *    identical;
  *  - regression: one fig-style cell (comm eval + engine run) produces
  *    bitwise identical numbers under both storages;
  *  - policy: Auto selects the arena below the device threshold and the
@@ -11,7 +12,10 @@
  *  - footprint: the compressed storage is strictly smaller and the
  *    addFlow hot path stays allocation-free under it;
  *  - limits: build() aborts on topologies whose link or node ids do
- *    not fit the 16-bit packed entries;
+ *    not fit the 16-bit packed entries, and on a nextHop() that
+ *    cycles;
+ *  - cut-off pairs: a device isolated by faults reports 0 hops under
+ *    every storage and uncached;
  *  - path latency: addFlow's maxPathLatency() equals the walk-summed
  *    link latency bitwise under both storages.
  */
@@ -49,27 +53,28 @@ expectStoragesEquivalent(const Topology &csr, const Topology &nh)
     const int devices = csr.numDevices();
     for (DeviceId s = 0; s < devices; ++s) {
         for (DeviceId d = 0; d < devices; ++d) {
-            const PathView arena = csr.route(s, d);
+            std::vector<LinkId> arena;
+            for (const LinkId l : csr.walk(s, d))
+                arena.push_back(l);
             std::size_t i = 0;
             for (const LinkId l : nh.walk(s, d)) {
                 ASSERT_LT(i, arena.size()) << "pair " << s << "->" << d;
                 EXPECT_EQ(l, arena[i]) << "pair " << s << "->" << d
                                        << " hop " << i;
+                EXPECT_EQ(nh.links()[std::size_t(l)].bandwidth,
+                          csr.links()[std::size_t(arena[i])].bandwidth);
                 ++i;
             }
             EXPECT_EQ(i, arena.size()) << "pair " << s << "->" << d;
 
             EXPECT_EQ(nh.hops(s, d), csr.hops(s, d));
             // Bitwise equality, not EXPECT_DOUBLE_EQ: both storages
-            // accumulate the scalars in computeRoute() link order, so
-            // the doubles must be identical, which is what makes the
+            // accumulate the scalars in path order, so the doubles
+            // must be identical, which is what makes the
             // representations interchangeable mid-figure.
             EXPECT_EQ(nh.pathLatency(s, d), csr.pathLatency(s, d));
             EXPECT_EQ(nh.pathInvBandwidthSum(s, d),
                       csr.pathInvBandwidthSum(s, d));
-            if (s != d) {
-                EXPECT_EQ(nh.pathBandwidth(s, d), csr.pathBandwidth(s, d));
-            }
         }
     }
 }
@@ -103,6 +108,56 @@ TEST(NextHop, SwitchClusterWalksReconstructCsrRoutes)
     expectStoragesEquivalent(csr, nh);
 }
 
+TEST(NextHop, FailedLinkRerouteWalksReconstructCsrRoutes)
+{
+    // Failed links force the reroute trees (nothing is isolated); both
+    // storages must tabulate the same rerouted nextHop().
+    const MeshTopology base = MeshTopology::waferRow(2, 4);
+    FaultTopology csr(base);
+    csr.setRouteStorage(RouteStorageKind::CsrArena);
+    FaultTopology nh(base);
+    nh.setRouteStorage(RouteStorageKind::NextHop);
+    for (FaultTopology *ft : {&csr, &nh}) {
+        ft->failLink(base.linkBetween(5, 6));
+        ft->failLink(base.linkBetween(9, 17));
+        ft->degradeLink(base.linkBetween(2, 3), 0.5);
+        ft->rebuildAfterFaults();
+        ASSERT_TRUE(ft->isolatedDevices().empty());
+    }
+    expectStoragesEquivalent(csr, nh);
+}
+
+TEST(NextHop, CutOffPairReportsZeroHopsInEveryMode)
+{
+    // Device 5 loses both outgoing and incoming links to its
+    // neighbours: no route leaves or reaches it.
+    const MeshTopology base = MeshTopology::singleWafer(4);
+    for (const int mode : {0, 1, 2}) {
+        SCOPED_TRACE(mode == 0 ? "csr" : mode == 1 ? "next-hop"
+                                                   : "uncached");
+        FaultTopology ft(base);
+        if (mode == 0)
+            ft.setRouteStorage(RouteStorageKind::CsrArena);
+        else if (mode == 1)
+            ft.setRouteStorage(RouteStorageKind::NextHop);
+        else
+            ft.disableRouteCache();
+        for (const DeviceId n : {1, 4, 6, 9}) {
+            ft.failLink(base.linkBetween(5, n));
+            ft.failLink(base.linkBetween(n, 5));
+        }
+        ft.rebuildAfterFaults();
+        ASSERT_FALSE(ft.reachable(5, 0));
+        EXPECT_EQ(ft.hops(5, 0), 0);
+        EXPECT_EQ(ft.hops(0, 5), 0);
+        EXPECT_EQ(ft.pathLatency(5, 0), 0.0);
+        EXPECT_TRUE(ft.computeRoute(0, 5).empty());
+        EXPECT_EQ(ft.usingNextHopRoutes(), mode == 1);
+        // The rest of the wafer still routes.
+        EXPECT_EQ(ft.hops(0, 15), base.hops(0, 15));
+    }
+}
+
 TEST(NextHop, WalksMatchFreshComputeRoute)
 {
     // The walker against first principles (not just against the CSR
@@ -119,23 +174,6 @@ TEST(NextHop, WalksMatchFreshComputeRoute)
                 ++i;
             }
             EXPECT_EQ(i, fresh.size());
-        }
-    }
-}
-
-TEST(NextHop, RouteMaterialisesIdenticalPaths)
-{
-    // route() stays PathView-compatible under the compressed storage
-    // (scratch-backed, overwritten by the next call).
-    MeshTopology mesh = MeshTopology::singleWafer(4);
-    mesh.setRouteStorage(RouteStorageKind::NextHop);
-    for (DeviceId s = 0; s < mesh.numDevices(); ++s) {
-        for (DeviceId d = 0; d < mesh.numDevices(); ++d) {
-            const auto fresh = mesh.computeRoute(s, d);
-            const PathView view = mesh.route(s, d);
-            ASSERT_EQ(view.size(), fresh.size());
-            for (std::size_t i = 0; i < fresh.size(); ++i)
-                EXPECT_EQ(view[i], fresh[i]);
         }
     }
 }
@@ -296,7 +334,7 @@ namespace {
 /**
  * Synthetic topology for the 16-bit limit: @p devices devices, @p nodes
  * nodes, and @p links links fanned out over distinct (src, dst) node
- * pairs. Routes are never computed: build() must refuse it first.
+ * pairs. Routes are never walked: build() must refuse it first.
  */
 class WideTopology : public Topology
 {
@@ -313,14 +351,42 @@ class WideTopology : public Topology
     int numNodes() const override { return nodes_; }
     std::string name() const override { return "wide"; }
 
-    std::vector<LinkId> computeRoute(DeviceId, DeviceId) const override
-    {
-        return {};
-    }
+    LinkId nextHop(NodeId, DeviceId) const override { return -1; }
 
   private:
     int devices_;
     int nodes_;
+};
+
+/**
+ * Two devices behind one switch (node 2) that always sends traffic
+ * back down to device 0: toward device 1 the walk 0 → 2 → 0 → ...
+ * never arrives, so every route build must abort instead of spinning.
+ */
+class CyclicTopology : public Topology
+{
+  public:
+    CyclicTopology()
+    {
+        up_[0] = addLink(0, 2, 1.0, 0.0);
+        addLink(2, 0, 1.0, 0.0); // link 1: the switch's only choice
+        up_[1] = addLink(1, 2, 1.0, 0.0);
+        addLink(2, 1, 1.0, 0.0);
+    }
+
+    int numDevices() const override { return 2; }
+    int numNodes() const override { return 3; }
+    std::string name() const override { return "cyclic"; }
+
+    LinkId nextHop(NodeId node, DeviceId dst) const override
+    {
+        if (node == dst)
+            return -1;
+        return node == 2 ? 1 : up_[node];
+    }
+
+  private:
+    LinkId up_[2] = {-1, -1};
 };
 
 /**
@@ -362,6 +428,21 @@ TEST(NextHopDeathTest, BuildRejectsIdsBeyondSixteenBits)
     manyNodes.setRouteStorage(RouteStorageKind::NextHop);
     EXPECT_DEATH(manyNodes.finalizeRoutes(),
                  "too many nodes for 16-bit next-hop entries");
+}
+
+TEST(NextHopDeathTest, CyclicNextHopAbortsEveryBuild)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (const RouteStorageKind kind :
+         {RouteStorageKind::NextHop, RouteStorageKind::CsrArena}) {
+        CyclicTopology topo;
+        topo.setRouteStorage(kind);
+        EXPECT_DEATH(topo.finalizeRoutes(), "routing cycle");
+    }
+    CyclicTopology uncached;
+    uncached.disableRouteCache();
+    EXPECT_EQ(uncached.hops(1, 0), 2); // toward device 0 it arrives
+    EXPECT_DEATH((void)uncached.hops(0, 1), "routing cycle");
 }
 
 TEST(NextHop, AddFlowPathLatencyIsWalkSumOnEveryTopology)

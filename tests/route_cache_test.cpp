@@ -1,16 +1,17 @@
 /**
  * @file
- * Equivalence tests for the all-pairs route cache: cached PathView
- * routes and per-pair scalars must match freshly computed XY / switch
- * routes for every device pair, on mesh and switch-cluster topologies,
- * with the cache enabled and with the no-cache test hook engaged.
+ * Equivalence tests for the all-pairs route cache: cached walks and
+ * per-pair scalars must match routes freshly walked from nextHop() for
+ * every device pair, on mesh, switch-cluster and rerouted fault
+ * topologies, with the cache enabled and with the no-cache test hook
+ * engaged (which must not allocate either).
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
+#include "fault/fault_topology.hh"
 #include "network/traffic.hh"
 #include "topology/mesh.hh"
 #include "topology/switch_cluster.hh"
@@ -23,37 +24,42 @@ using namespace moentwine;
 
 namespace {
 
-/** Assert cached route()/scalars equal fresh computeRoute() walks. */
+/** The links walk(s, d) yields, in path order. */
+std::vector<LinkId>
+walked(const Topology &topo, DeviceId s, DeviceId d)
+{
+    std::vector<LinkId> out;
+    for (const LinkId l : topo.walk(s, d))
+        out.push_back(l);
+    return out;
+}
+
+/** Assert cached walks/scalars equal fresh computeRoute() walks. */
 void
 expectCacheMatchesFresh(const Topology &topo)
 {
     const int devices = topo.numDevices();
+    const auto &links = topo.links();
     for (DeviceId s = 0; s < devices; ++s) {
         for (DeviceId d = 0; d < devices; ++d) {
             const auto fresh = topo.computeRoute(s, d);
-            const PathView cached = topo.route(s, d);
+            const auto cached = walked(topo, s, d);
             ASSERT_EQ(cached.size(), fresh.size())
                 << "pair " << s << "->" << d;
-            EXPECT_TRUE(std::equal(cached.begin(), cached.end(),
-                                   fresh.begin()))
-                << "pair " << s << "->" << d;
-
-            EXPECT_EQ(topo.hops(s, d), static_cast<int>(fresh.size()));
             double lat = 0.0;
             double invBw = 0.0;
-            double minBw = 0.0;
-            for (const LinkId l : fresh) {
-                const Link &link = topo.links()[std::size_t(l)];
+            for (std::size_t i = 0; i < fresh.size(); ++i) {
+                const Link &link = links[std::size_t(fresh[i])];
+                EXPECT_EQ(cached[i], fresh[i])
+                    << "pair " << s << "->" << d << " hop " << i;
+                EXPECT_EQ(links[std::size_t(cached[i])].bandwidth,
+                          link.bandwidth);
                 lat += link.latency;
                 invBw += 1.0 / link.bandwidth;
-                minBw = minBw == 0.0 ? link.bandwidth
-                                     : std::min(minBw, link.bandwidth);
             }
+            EXPECT_EQ(topo.hops(s, d), static_cast<int>(fresh.size()));
             EXPECT_DOUBLE_EQ(topo.pathLatency(s, d), lat);
             EXPECT_DOUBLE_EQ(topo.pathInvBandwidthSum(s, d), invBw);
-            if (!fresh.empty()) {
-                EXPECT_DOUBLE_EQ(topo.pathBandwidth(s, d), minBw);
-            }
         }
     }
 }
@@ -78,23 +84,56 @@ TEST(RouteCache, SwitchClusterAllPairsMatch)
     expectCacheMatchesFresh(dgx);
 }
 
+TEST(RouteCache, FailedLinkRerouteAllPairsMatch)
+{
+    // A failed link reroutes some pairs around it (nothing isolated):
+    // the storages are filled from the reroute trees' nextHop().
+    const MeshTopology mesh = MeshTopology::waferRow(2, 4);
+    FaultTopology ft(mesh);
+    ft.failLink(mesh.linkBetween(5, 6));
+    ft.rebuildAfterFaults();
+    ASSERT_TRUE(ft.isolatedDevices().empty());
+    expectCacheMatchesFresh(ft);
+}
+
 TEST(RouteCache, DisabledCacheStillAnswersCorrectly)
 {
     MeshTopology mesh = MeshTopology::waferRow(2, 3);
+    const MeshTopology cached = mesh;
     // Prime the cache, then disable it: queries must fall back to
-    // fresh derivation and stay correct.
-    (void)mesh.route(0, mesh.numDevices() - 1);
+    // folding nextHop() and answer exactly what the cache did.
+    (void)mesh.hops(0, mesh.numDevices() - 1);
     mesh.disableRouteCache();
+    expectCacheMatchesFresh(mesh);
     for (DeviceId s = 0; s < mesh.numDevices(); ++s) {
         for (DeviceId d = 0; d < mesh.numDevices(); ++d) {
-            const auto fresh = mesh.computeRoute(s, d);
-            const PathView uncached = mesh.route(s, d);
-            ASSERT_EQ(uncached.size(), fresh.size());
-            EXPECT_TRUE(std::equal(uncached.begin(), uncached.end(),
-                                   fresh.begin()));
-            EXPECT_EQ(mesh.hops(s, d), static_cast<int>(fresh.size()));
+            EXPECT_EQ(mesh.hops(s, d), cached.hops(s, d));
+            EXPECT_EQ(mesh.pathLatency(s, d), cached.pathLatency(s, d));
+            EXPECT_EQ(mesh.pathInvBandwidthSum(s, d),
+                      cached.pathInvBandwidthSum(s, d));
         }
     }
+}
+
+TEST(RouteCache, UncachedScalarQueriesDoNotAllocate)
+{
+    MeshTopology mesh = MeshTopology::waferRow(2, 4);
+    mesh.disableRouteCache();
+    const int devices = mesh.numDevices();
+    std::vector<int> nearest(static_cast<std::size_t>(devices), devices);
+
+    const std::size_t before = g_allocCount.load();
+    double sink = 0.0;
+    for (DeviceId s = 0; s < devices; ++s) {
+        for (DeviceId d = 0; d < devices; ++d) {
+            sink += mesh.hops(s, d) + mesh.pathLatency(s, d) +
+                mesh.pathInvBandwidthSum(s, d);
+        }
+        mesh.minHopsFrom(s, nearest.data());
+    }
+    EXPECT_EQ(g_allocCount.load(), before)
+        << "uncached scalar queries must not allocate";
+    EXPECT_GT(sink, 0.0);
 }
 
 TEST(RouteCache, FlowTimeMatchesManualEquationOne)
@@ -148,16 +187,17 @@ TEST(RouteCache, AddFlowIsAllocationFreeOnCachedPath)
         << "cached addFlow must not allocate";
 }
 
-TEST(RouteCache, PathViewIsStableAcrossQueries)
+TEST(RouteCache, WalkerIsStableAcrossQueries)
 {
     const MeshTopology mesh = MeshTopology::singleWafer(4);
-    // Arena-backed views must stay valid while other pairs are queried.
-    const PathView first = mesh.route(0, 15);
-    const auto firstCopy =
-        std::vector<LinkId>(first.begin(), first.end());
+    // A walker over the arena must stay valid while other pairs are
+    // queried.
+    PathWalker first = mesh.walk(0, 15);
     for (DeviceId s = 0; s < mesh.numDevices(); ++s)
         for (DeviceId d = 0; d < mesh.numDevices(); ++d)
-            (void)mesh.route(s, d);
-    EXPECT_TRUE(std::equal(first.begin(), first.end(),
-                           firstCopy.begin()));
+            (void)walked(mesh, s, d);
+    std::vector<LinkId> firstLinks;
+    for (const LinkId l : first)
+        firstLinks.push_back(l);
+    EXPECT_EQ(firstLinks, mesh.computeRoute(0, 15));
 }

@@ -638,7 +638,7 @@ TEST(SweepSharedSystemTest, SharedSystemMatchesPrivateCopies)
 TEST(SweepSharedSystemTest, ConcurrentFirstUseOfLazyCachesIsSafe)
 {
     // Raw topology + mapping, deliberately NOT prewarmed: the first
-    // route()/dispatchSourceCached() calls race from worker threads
+    // walk()/dispatchSourceCached() calls race from worker threads
     // and must all observe a consistent table (once-guard regression).
     const MeshTopology mesh = MeshTopology::waferRow(2, 4);
     const ErMapping er(mesh, ParallelismConfig{2, 2});

@@ -5,10 +5,27 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/units.hh"
 #include "topology/switch_cluster.hh"
 
 using namespace moentwine;
+
+namespace {
+
+/** Bandwidths of the links along walk(src, dst), in path order. */
+std::vector<double>
+walkBandwidths(const Topology &topo, DeviceId src, DeviceId dst)
+{
+    std::vector<double> bws;
+    for (const LinkId l : topo.walk(src, dst))
+        bws.push_back(topo.links()[std::size_t(l)].bandwidth);
+    return bws;
+}
+
+} // namespace
 
 TEST(SwitchCluster, DgxDeviceCount)
 {
@@ -66,7 +83,7 @@ TEST(SwitchCluster, RouteIsConnected)
     for (DeviceId a = 0; a < dgx.numDevices(); a += 5) {
         for (DeviceId b = 0; b < dgx.numDevices(); b += 7) {
             NodeId cur = a;
-            for (const LinkId l : dgx.route(a, b)) {
+            for (const LinkId l : dgx.walk(a, b)) {
                 const Link &link = dgx.links()[std::size_t(l)];
                 EXPECT_EQ(link.src, cur);
                 cur = link.dst;
@@ -79,29 +96,40 @@ TEST(SwitchCluster, RouteIsConnected)
 TEST(SwitchCluster, Nvl72AlwaysTwoHops)
 {
     const auto nvl = SwitchClusterTopology::nvl72();
-    for (DeviceId a = 0; a < nvl.numDevices(); a += 9)
-        for (DeviceId b = 0; b < nvl.numDevices(); b += 11)
-            if (a != b)
+    for (DeviceId a = 0; a < nvl.numDevices(); a += 9) {
+        for (DeviceId b = 0; b < nvl.numDevices(); b += 11) {
+            if (a != b) {
                 EXPECT_EQ(nvl.hops(a, b), 2);
+            }
+        }
+    }
 }
 
 TEST(SwitchCluster, InterNodePathIsSlower)
 {
     const auto dgx = SwitchClusterTopology::dgx(2);
-    EXPECT_LT(dgx.pathBandwidth(0, 8), dgx.pathBandwidth(0, 1));
+    const auto inter = walkBandwidths(dgx, 0, 8);
+    const auto intra = walkBandwidths(dgx, 0, 1);
+    EXPECT_LT(*std::min_element(inter.begin(), inter.end()),
+              *std::min_element(intra.begin(), intra.end()));
     EXPECT_GT(dgx.pathLatency(0, 8), dgx.pathLatency(0, 1));
 }
 
 TEST(SwitchCluster, IntraBandwidthMatchesNvlink)
 {
     const auto dgx = SwitchClusterTopology::dgx(1);
-    EXPECT_DOUBLE_EQ(dgx.pathBandwidth(0, 1), 0.9 * units::TB);
+    // device → switch → device, both NVLink.
+    EXPECT_EQ(walkBandwidths(dgx, 0, 1),
+              std::vector<double>(2, 0.9 * units::TB));
 }
 
 TEST(SwitchCluster, InterBandwidthMatchesIb)
 {
     const auto dgx = SwitchClusterTopology::dgx(2);
-    EXPECT_DOUBLE_EQ(dgx.pathBandwidth(0, 8), 0.4 * units::TB);
+    // NVLink up, IB to and from the spine, NVLink down.
+    EXPECT_EQ(walkBandwidths(dgx, 0, 8),
+              (std::vector<double>{0.9 * units::TB, 0.4 * units::TB,
+                                   0.4 * units::TB, 0.9 * units::TB}));
 }
 
 TEST(SwitchCluster, Names)

@@ -49,14 +49,15 @@ TEST(Mesh, ManhattanMatchesCoordinates)
 TEST(Mesh, RouteIsEmptyForSelf)
 {
     const MeshTopology mesh = MeshTopology::singleWafer(3);
-    EXPECT_TRUE(mesh.route(4, 4).empty());
+    EXPECT_TRUE(mesh.computeRoute(4, 4).empty());
     EXPECT_EQ(mesh.hops(4, 4), 0);
 }
 
 TEST(Mesh, XyRoutingGoesColumnFirst)
 {
     const MeshTopology mesh = MeshTopology::singleWafer(4);
-    const auto path = mesh.route(mesh.deviceAt(0, 0), mesh.deviceAt(2, 2));
+    const auto path =
+        mesh.computeRoute(mesh.deviceAt(0, 0), mesh.deviceAt(2, 2));
     ASSERT_EQ(path.size(), 4u);
     // First two hops move along the row (column changes).
     const Link &first = mesh.links()[std::size_t(path[0])];
@@ -89,13 +90,26 @@ TEST(Mesh, PathLatencyAccumulates)
                      300e-9);
 }
 
-TEST(Mesh, PathBandwidthIsMinAlongRoute)
+TEST(Mesh, CrossWaferRoutePassesOneNarrowLink)
 {
     const MeshTopology mesh = MeshTopology::waferRow(2, 4);
-    // Crossing the wafer border passes a narrower link.
-    const double bw = mesh.pathBandwidth(mesh.deviceAt(0, 0),
-                                         mesh.deviceAt(0, 7));
-    EXPECT_DOUBLE_EQ(bw, mesh.spec().crossBandwidth);
+    // Crossing the wafer border passes exactly one narrower link; the
+    // other hops run at on-wafer bandwidth.
+    int cross = 0;
+    int hops = 0;
+    for (const LinkId l : mesh.walk(mesh.deviceAt(0, 0),
+                                    mesh.deviceAt(0, 7))) {
+        const double bw = mesh.links()[std::size_t(l)].bandwidth;
+        if (mesh.isCrossWafer(l)) {
+            ++cross;
+            EXPECT_EQ(bw, mesh.spec().crossBandwidth);
+        } else {
+            EXPECT_EQ(bw, mesh.spec().linkBandwidth);
+        }
+        ++hops;
+    }
+    EXPECT_EQ(cross, 1);
+    EXPECT_EQ(hops, 7);
 }
 
 TEST(Mesh, MultiWaferStructure)
@@ -198,7 +212,7 @@ TEST_P(MeshRoutingProperty, RouteIsConnected)
     for (DeviceId a = 0; a < mesh.numDevices(); ++a) {
         for (DeviceId b = 0; b < mesh.numDevices(); ++b) {
             NodeId cur = a;
-            for (const LinkId l : mesh.route(a, b)) {
+            for (const LinkId l : mesh.walk(a, b)) {
                 const Link &link = mesh.links()[std::size_t(l)];
                 EXPECT_EQ(link.src, cur);
                 cur = link.dst;
